@@ -16,22 +16,19 @@ from typing import Sequence
 from . import verification
 from .kbruhat import chains, interval
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
-from .perm import identity, parse_permutation
+from .perm import hook_partition, identity, parse_permutation
 from .qbruhat import QElement, parse_qelement, q_chains, q_interval
 from .qschubert import (
     QLRQuery,
     fgp_product,
     q_hook_multiply,
-    q_monk_multiply,
     q_powersum_multiply,
-    q_schur_multiply,
     quantum_lr,
 )
 from .schubert import (
     Expansion,
     hook_multiply_chains,
     hook_multiply_minimal,
-    monk_multiply,
     powersum_multiply,
     schur_multiply,
 )
@@ -62,21 +59,12 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
-def _expansion_json(exp: Expansion) -> str:
-    return json.dumps(
-        {
-            "terms": [
-                {"coeff": c, "q": list(x.alpha), "w": str(x.w)}
-                for x, c in exp.items()
-            ]
-        },
-        indent=2,
-    )
-
-
 def _emit_expansion(exp: Expansion, fmt: str) -> None:
     if fmt == "json":
-        print(_expansion_json(exp))
+        terms = [
+            {"coeff": c, "q": list(x.alpha), "w": str(x.w)} for x, c in exp.items()
+        ]
+        print(json.dumps({"terms": terms}, indent=2))
     else:
         print(exp.text())
 
@@ -84,18 +72,9 @@ def _emit_expansion(exp: Expansion, fmt: str) -> None:
 # -- product ---------------------------------------------------------------------
 
 
-def _product_shape(args) -> tuple[str, object]:
-    given = [
-        name
-        for name, value in (
-            ("--class", args.monk_class),
-            ("--hook", args.hook),
-            ("--powersum", args.powersum),
-            ("--lambda", args.shape),
-        )
-        if value is not None
-    ]
-    if len(given) != 1:
+def _product_shape(args) -> tuple[str, tuple]:
+    given = (args.monk_class, args.hook, args.powersum, args.shape)
+    if sum(value is not None for value in given) != 1:
         raise UsageError(
             "give exactly one of --class, --hook, --powersum, --lambda"
         )
@@ -106,7 +85,7 @@ def _product_shape(args) -> tuple[str, object]:
         m = int(text[1:])
         if m < 1:
             raise UsageError(f"--class wants s<m> with m >= 1, got {text!r}")
-        return "class", m
+        return "hook", (1, m)
     if args.hook is not None:
         hook = _parse_ints(args.hook, "--hook")
         if len(hook) != 2 or min(hook) < 1:
@@ -115,8 +94,8 @@ def _product_shape(args) -> tuple[str, object]:
     if args.powersum is not None:
         if args.powersum < 1:
             raise UsageError("--powersum wants r >= 1")
-        return "powersum", args.powersum
-    return "lambda", _parse_shape(args.shape)
+        return "powersum", (args.powersum,)
+    return "lambda", (_parse_shape(args.shape),)
 
 
 def _product_ambient(args, kind: str, data) -> int:
@@ -124,14 +103,62 @@ def _product_ambient(args, kind: str, data) -> int:
         return args.n
     if args.u != "e":
         return len(args.u)
-    k = args.k
-    if kind == "class":
-        return k + data
-    if kind == "hook":
-        return k + data[1]
-    if kind == "powersum":
-        return k + data
-    return k + data[0]
+    # the widest row: b for the hook (a, b), r for p_r, lam_1 for (lam,)
+    return args.k + (data[0][0] if kind == "lambda" else data[-1])
+
+
+def _ll_reduce(u, a, b, k):
+    lam = hook_partition(a, b)
+    support = q_hook_multiply(u, a, b, k).items()
+    coeffs = {z: quantum_lr(QLRQuery(u, z.w, z.alpha, lam, k)) for z, _c in support}
+    return Expansion(u.n, coeffs)
+
+
+# (kind, quantum, --basis) -> (route, what it computes); route(u, *data, k)
+# computes the product.  The first basis of a (kind, quantum) pair is its
+# default, and None marks a pair with one route.
+_PRODUCT_ROUTES = {
+    ("hook", False, "chains"): (hook_multiply_chains, "peakless chains"),
+    ("hook", False, "minimal"): (hook_multiply_minimal, "minimal intervals"),
+    ("hook", True, "hook-theorem"): (q_hook_multiply, "the quantum hook rule"),
+    ("hook", True, "ll-reduce"): (
+        _ll_reduce, "descent exchange; reads its support from the hook theorem"
+    ),
+    ("hook", True, "fgp-oracle"): (
+        lambda u, a, b, k: fgp_product(u, hook_partition(a, b), k),
+        "the FGP quantization oracle",
+    ),
+    ("powersum", False, None): (powersum_multiply, ""),
+    ("powersum", True, None): (q_powersum_multiply, ""),
+    ("lambda", False, None): (schur_multiply, ""),
+    ("lambda", True, "fgp-oracle"): (fgp_product, "the FGP quantization oracle"),
+}
+
+
+def _ring(kind: str, quantum: bool) -> str:
+    return f"{'quantum' if quantum else 'classical'} --{kind}"
+
+
+def _product_route(kind: str, quantum: bool, basis: str | None):
+    bases = [b for kd, q, b in _PRODUCT_ROUTES if (kd, q) == (kind, quantum)]
+    if basis is None:
+        basis = bases[0]
+    if basis not in bases:
+        offer = "drop --basis" if bases == [None] else "choose " + ", ".join(bases)
+        raise UsageError(
+            f"--basis {basis} does not apply to {_ring(kind, quantum)}; {offer}"
+        )
+    return _PRODUCT_ROUTES[kind, quantum, basis][0]
+
+
+def _basis_help() -> str:
+    groups: dict[str, list[str]] = {}
+    for (kind, quantum, basis), (_route, text) in _PRODUCT_ROUTES.items():
+        if basis is not None:
+            entries = groups.setdefault(_ring(kind, quantum), [])
+            entries.append(f"{basis} ({'' if entries else 'default, '}{text})")
+    listed = "; ".join(f"{ring}: {', '.join(e)}" for ring, e in groups.items())
+    return f"{listed}; every other product has one route"
 
 
 def cmd_product(args) -> int:
@@ -143,64 +170,8 @@ def cmd_product(args) -> int:
     k = args.k
     if not 1 <= k <= n - 1:
         raise UsageError(f"k must be in 1..{n - 1}, got {k}")
-    basis = args.basis
-    if kind == "class":
-        kind, data = "hook", (1, data)
-    if kind == "hook":
-        a, b = data
-        if args.quantum:
-            if basis in (None, "hook-theorem"):
-                exp = (
-                    q_monk_multiply(u, k)
-                    if (a, b) == (1, 1)
-                    else q_hook_multiply(u, a, b, k)
-                )
-            elif basis == "fgp-oracle":
-                exp = fgp_product(u, (b,) + (1,) * (a - 1), k)
-            elif basis == "ll-reduce":
-                lam = (b,) + (1,) * (a - 1)
-                support = q_hook_multiply(u, a, b, k)
-                exp = Expansion(
-                    n,
-                    {
-                        z: quantum_lr(QLRQuery(u, z.w, z.alpha, lam, k))
-                        for z, _c in support.items()
-                    },
-                )
-            else:
-                raise UsageError(f"--basis {basis} is a classical route")
-        else:
-            if basis in (None, "chains"):
-                exp = (
-                    monk_multiply(u, k)
-                    if (a, b) == (1, 1)
-                    else hook_multiply_chains(u, a, b, k)
-                )
-            elif basis == "minimal":
-                exp = hook_multiply_minimal(u, a, b, k)
-            else:
-                raise UsageError(f"--basis {basis} needs --quantum")
-    elif kind == "powersum":
-        if basis is not None:
-            raise UsageError("--powersum has a single route; drop --basis")
-        exp = (
-            q_powersum_multiply(u, data, k)
-            if args.quantum
-            else powersum_multiply(u, data, k)
-        )
-    else:
-        if args.quantum:
-            if basis in (None, "hook-theorem"):
-                exp = q_schur_multiply(u, data, k)
-            elif basis == "fgp-oracle":
-                exp = fgp_product(u, data, k)
-            else:
-                raise UsageError(f"--basis {basis} does not apply to --lambda")
-        else:
-            if basis is not None:
-                raise UsageError("classical --lambda has a single route")
-            exp = schur_multiply(u, data, k)
-    _emit_expansion(exp, args.format)
+    route = _product_route(kind, args.quantum, args.basis)
+    _emit_expansion(route(u, *data, k), args.format)
     return 0
 
 
@@ -316,7 +287,7 @@ def cmd_verify(args) -> int:
         raise UsageError(str(e)) from None
     failed = 0
     for name in names:
-        result = verification.CHECKS[name](n=args.n)
+        result = verification.CHECKS[name]()
         status = "ok" if result.ok else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
         print(f"  {result.name}: {result.seconds:.2f}s", file=sys.stderr)
@@ -363,13 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, help="ambient size (inferred by default)")
     p.add_argument("--quantum", action="store_true")
-    p.add_argument("--class", dest="monk_class", help="s<m>: a one-row shape")
+    p.add_argument(
+        "--class", dest="monk_class", help="s<m>: a one-row shape (the hook 1,m)"
+    )
     p.add_argument("--hook", help="a,b: hook with a rows, arm b")
     p.add_argument("--powersum", type=int, help="power sum degree")
     p.add_argument("--lambda", dest="shape", help="partition p1,p2,...")
     p.add_argument(
         "--basis",
-        choices=["hook-theorem", "ll-reduce", "fgp-oracle", "chains", "minimal"],
+        choices=list(dict.fromkeys(b for _k, _q, b in _PRODUCT_ROUTES if b)),
+        help=_basis_help(),
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_product)
@@ -410,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"names from {sorted(verification.CHECKS)} or groups"
         f" {sorted(verification.GROUPS)} (default: all)",
     )
-    p.add_argument("--n", type=int, default=5, help="ambient for the S_n sweeps")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(

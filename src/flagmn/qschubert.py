@@ -1,21 +1,24 @@
 """Products of Schubert classes in the quantum cohomology of the flag manifold.
 
-Three independent routes are implemented and cross-checked:
+The quantum products run on the engine they share with the classical ones
+(see ``schubert``), driven by the quantum cover function ``q_up_covers``:
 
 - ``q_monk_multiply`` / ``q_x_times``: the degree-one products, which
   determine the ring structure;
 - ``q_hook_multiply`` / ``q_powersum_multiply``: closed combinatorial rules
-  summing over minimal intervals of the quantum k-Bruhat order;
-- ``fgp_product``: an oracle that multiplies honestly in ZZ[q][x] after
-  quantizing the Schur polynomial through quantum elementary polynomials
-  E^j_i, applying one x_m-operator at a time.
+  summing over minimal intervals of the quantum k-Bruhat order.
 
-``quantum_lr`` computes a single coefficient N^{w,alpha}_{u,v(lam,k)} by the
+Two routes that do not use the minimal-interval rule check them; both still
+apply Monk's rule through the shared x_m operator.  ``fgp_product`` is an
+oracle that multiplies honestly in ZZ[q][x] after quantizing the Schur
+polynomial through quantum elementary polynomials E^j_i.  ``quantum_lr``
+computes a single coefficient N^{w,alpha}_{u,v(lam,k)} by the
 descent-exchange reduction: while alpha is nonzero, find a wall i where u
-descends, w ascends, and the second difference of alpha is 1 (2 when i = k);
-swapping positions i, i+1 in both u and w and stripping e_i from alpha
-preserves the coefficient exactly, so the classical coefficient reached at
-alpha = 0 is the answer.  When no wall qualifies the coefficient is zero.
+descends, w ascends, and the second difference of alpha is 1 (2 when
+i = k); swapping positions i, i+1 in both u and w and stripping e_i from
+alpha preserves the coefficient exactly, so the classical coefficient
+reached at alpha = 0 is the answer.  When no wall qualifies the coefficient
+is zero.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)} measures how exponent vectors move
@@ -31,16 +34,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kbruhat import peakless_count
-from .perm import (
-    Permutation,
-    cyclic_shift,
-    fits_rectangle,
-    het,
-    longest_element,
-)
+from .perm import Permutation, cyclic_shift, fits_rectangle, longest_element
 from .qbruhat import QElement, q_up_covers
-from .schubert import Expansion, Poly, schur_multiply, schur_poly
+from .schubert import (
+    Expansion,
+    Poly,
+    _check_hook_args,
+    _check_k,
+    _check_powersum_args,
+    _hook_coefficient,
+    _minimal_rule,
+    _monk_terms,
+    _operator_sum,
+    _padded_sum,
+    _powersum_coefficient,
+    _trim,
+    _x_times,
+    schur_multiply,
+    schur_poly,
+)
 
 __all__ = [
     "varpi",
@@ -113,8 +125,7 @@ class QLRQuery:
             raise ValueError(f"alpha needs {n - 1} walls, got {len(self.alpha)}")
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"negative exponent in {self.alpha!r}")
-        if not 1 <= self.k <= n - 1:
-            raise ValueError(f"k must be in 1..{n - 1}, got {self.k}")
+        _check_k(n, self.k)
         if not fits_rectangle(self.lam, self.k, n - self.k):
             raise ValueError(
                 f"shape {self.lam} has no Grassmannian permutation with "
@@ -265,40 +276,13 @@ def _as_expansion(x: Expansion | QElement | Permutation) -> Expansion:
 def q_monk_multiply(exp: Expansion | QElement | Permutation, k: int) -> Expansion:
     """The quantum product by S_{(k,k+1)}, extended ZZ[q]-linearly."""
     exp = _as_expansion(exp)
-    if not 1 <= k <= exp.n - 1:
-        raise ValueError(f"k must be in 1..{exp.n - 1}, got {k}")
-    return exp.apply(lambda x: [(y, 1) for _lab, y in q_up_covers(x, k)])
+    _check_k(exp.n, k)
+    return exp.apply(lambda x: _monk_terms(x, k, q_up_covers))
 
 
 def q_x_times(exp: Expansion, m: int) -> Expansion:
-    """Multiplication by x_m in qH*Fl_n.
-
-    x_m = (x_1 + ... + x_m) - (x_1 + ... + x_{m-1}) is a difference of two
-    degree-one classes; x_1 + ... + x_n acts as zero.
-    """
-    n = exp.n
-    if not 1 <= m <= n:
-        raise ValueError(f"x_{m} is not a variable of qH*Fl_{n}")
-
-    def op(x: QElement):
-        out = []
-        if m < n:
-            for _lab, y in q_up_covers(x, m):
-                out.append((y, 1))
-        if m > 1:
-            for _lab, y in q_up_covers(x, m - 1):
-                out.append((y, -1))
-        return out
-
-    return exp.apply(op)
-
-
-def _q_reachable(u: Permutation, k: int, r: int) -> set[QElement]:
-    """Everything r cover-steps above u in the quantum k-Bruhat order."""
-    frontier = {QElement((0,) * (u.n - 1), u)}
-    for _ in range(r):
-        frontier = {y for x in frontier for _lab, y in q_up_covers(x, k)}
-    return frontier
+    """Multiplication by x_m in qH*Fl_n (monk at m minus monk at m - 1)."""
+    return _x_times(exp, m, q_up_covers)
 
 
 def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
@@ -308,38 +292,16 @@ def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
     zeta = w u^{-1}, for every minimal interval [u, q^alpha w]_k^q of rank
     a + b - 1.
     """
-    n = u.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    if not 1 <= a <= k:
-        raise ValueError(f"hook height a={a} must be in 1..k={k}")
-    if not 1 <= b <= n - k:
-        raise ValueError(f"hook width b={b} must be in 1..n-k={n - k}")
-    r = a + b - 1
-    terms = []
-    for x in _q_reachable(u, k, r):
-        zeta = x.w * u.inverse()
-        if len(zeta.support()) - zeta.num_cycles() != r:
-            continue  # reachable at rank r but the interval is not minimal
-        c = peakless_count(zeta, a)
-        if c:
-            terms.append((x, c))
-    return Expansion(n, terms)
+    _check_hook_args(u, a, b, k)
+    bottom = QElement((0,) * (u.n - 1), u)
+    return _minimal_rule(bottom, k, a + b - 1, q_up_covers, _hook_coefficient(a))
 
 
 def q_powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:
     """S_u * p^q_r(x_1..x_k): signed sum over minimal single-cycle intervals."""
-    n = u.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    if r < 1:
-        raise ValueError(f"power sum degree must be positive, got {r}")
-    terms = []
-    for x in _q_reachable(u, k, r):
-        zeta = x.w * u.inverse()
-        if zeta.num_cycles() == 1 and len(zeta.support()) - 1 == r:
-            terms.append((x, (-1) ** (het(zeta) + 1)))
-    return Expansion(n, terms)
+    _check_powersum_args(u, r, k)
+    bottom = QElement((0,) * (u.n - 1), u)
+    return _minimal_rule(bottom, k, r, q_up_covers, _powersum_coefficient)
 
 
 # -- the quantization oracle ----------------------------------------------------
@@ -441,21 +403,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self.terms!r})"
-
-
-def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(exps)
-    while m and exps[m - 1] == 0:
-        m -= 1
-    return tuple(exps[:m])
-
-
-def _padded_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(
-        x + y for x, y in zip(a, b + (0,) * (len(a) - len(b)))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -593,30 +540,10 @@ def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
     return quantize(schur_poly(lam, k), n)
 
 
-def _q_shift(exp: Expansion, qe: tuple[int, ...]) -> Expansion:
-    full = tuple(qe) + (0,) * (exp.n - 1 - len(qe))
-    return Expansion(
-        exp.n,
-        {
-            QElement(tuple(a + b for a, b in zip(x.alpha, full)), x.w): c
-            for x, c in exp.terms.items()
-        },
-    )
-
-
 def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u * s^q_lam(x_1..x_k) through iterated x_m-operators (the FGP route)."""
-    n = u.n
-    out = Expansion(n)
-    for (xe, qe), c in quantum_schur(tuple(lam), k, n).monomials():
-        cur = Expansion.unit(u)
-        for i, e in enumerate(xe, start=1):
-            for _ in range(e):
-                cur = q_x_times(cur, i)
-        if qe:
-            cur = _q_shift(cur, qe)
-        out = out + cur.scale(c)
-    return out
+    monomials = quantum_schur(tuple(lam), k, u.n).monomials()
+    return _operator_sum(u, monomials, q_x_times)
 
 
 def fgp_product(

@@ -1,12 +1,15 @@
 """Schubert polynomials and products in the cohomology of the flag manifold.
 
-Three independent routes to the same products are implemented:
-
-- ``hook_multiply_chains``: sums over peakless chains in the k-Bruhat order
-  (height a, length a + b - 1 for the hook (b, 1^(a-1)));
-- ``hook_multiply_minimal``: sums binomials over minimal permutations;
-- ``poly_product``: honest polynomial multiplication followed by expansion in
-  the Schubert basis, the slow oracle the rules are checked against.
+The classical and the quantum products share one engine, written once here:
+rank-r reachability, the minimal-interval rule, the x_m operator and the
+Schur loop over monomials take their ring's cover function (``up_covers``
+here, ``q_up_covers`` in ``qschubert``).  A classical product is the
+alpha = 0 part of its quantum product; the classical ring keeps its
+permutation frontier and never walks a quantum edge.  The minimal-interval
+rule is checked by routes that do not use it: ``hook_multiply_chains`` sums
+peakless chains of height a and length a + b - 1 for the hook (b, 1^(a-1)),
+``poly_product`` multiplies polynomials honestly and expands the result in
+the Schubert basis, and ``qschubert`` has ``fgp_product`` and ``quantum_lr``.
 
 Schubert polynomials are computed by the transition recursion: with r the
 last descent of w and s the last position past r with w(s) < w(r), setting
@@ -57,6 +60,12 @@ def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
     return exps[:m]
 
 
+def _padded_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b + (0,) * (len(a) - len(b))))
+
+
 class Poly:
     """Sparse integer polynomial in x_1, x_2, ... with tuple exponent keys."""
 
@@ -105,11 +114,7 @@ class Poly:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                long, short = (e1, e2) if len(e1) >= len(e2) else (e2, e1)
-                key = tuple(
-                    a + b
-                    for a, b in zip(long, short + (0,) * (len(long) - len(short)))
-                )
+                key = _padded_sum(e1, e2)
                 out[key] = out.get(key, 0) + c1 * c2
         return Poly(out)
 
@@ -287,10 +292,7 @@ class Expansion:
     def scale(self, c: int) -> "Expansion":
         return Expansion(self.n, {x: c * v for x, v in self.terms.items()})
 
-    def __mul__(self, c: int) -> "Expansion":
-        return self.scale(c)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scale
 
     def apply(
         self, op: Callable[[QElement], Iterable[tuple[QElement, int]]]
@@ -328,71 +330,132 @@ class Expansion:
         return f"Expansion({self.n}, {dict(self.items())!r})"
 
 
-def monk_multiply(u: Permutation, k: int, *, poly: bool = False) -> Expansion:
-    """The product of S_u by S_{(k, k+1)} = x_1 + ... + x_k.
+# -- one product engine for both rings -----------------------------------------
+#
+# ``covers`` is ``up_covers`` on permutations or ``q_up_covers`` on q-elements;
+# ``_lifted_up_covers`` runs the classical covers on q-elements.
 
-    In the quotient ring (default) the terms are the k-Bruhat covers of u
-    inside S_n.  With ``poly`` the product is taken in the polynomial ring:
-    every cover appears, which requires one extra letter of room.
+
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+
+
+def _check_hook_args(u: Permutation, a: int, b: int, k: int) -> None:
+    _check_k(u.n, k)
+    if not 1 <= a <= k:
+        raise ValueError(f"hook height a={a} must be in 1..k={k}")
+    if not 1 <= b <= u.n - k:
+        raise ValueError(f"hook width b={b} must be in 1..n-k={u.n - k}")
+
+
+def _check_powersum_args(u: Permutation, r: int, k: int) -> None:
+    _check_k(u.n, k)
+    if r < 1:
+        raise ValueError(f"power sum degree must be positive, got {r}")
+
+
+def _lifted_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
+    return [(lab, QElement(x.alpha, w)) for lab, w in up_covers(x.w, k)]
+
+
+def _monk_terms(x, k: int, covers) -> list:
+    """The Monk rule, shared by both rings: every k-cover of x, once."""
+    return [(y, 1) for _lab, y in covers(x, k)]
+
+
+def _x_times(exp: Expansion, m: int, covers) -> Expansion:
+    """Multiplication by x_m = (x_1 + ... + x_m) - (x_1 + ... + x_{m-1}).
+
+    Monk at k = m minus monk at k = m - 1; x_1 + ... + x_n acts as zero.
     """
-    if poly:
-        n = max(u.n, k + 1) + 1
-        u = u.extend(n)
-    else:
-        n = u.n
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    zero = (0,) * (n - 1)
-    return Expansion(
-        n, [(QElement(zero, w), 1) for _lab, w in up_covers(u, k)]
-    )
-
-
-def x_times(exp: Expansion, m: int) -> Expansion:
-    """Multiplication by x_m in H*Fl_n (monk at m minus monk at m - 1)."""
     n = exp.n
     if not 1 <= m <= n:
         raise ValueError(f"x_{m} is not a variable of H*Fl_{n}")
 
     def op(x: QElement):
-        out = []
-        if m < n:
-            for _lab, w in up_covers(x.w, m):
-                out.append((QElement(x.alpha, w), 1))
+        out = [(y, 1) for _lab, y in covers(x, m)] if m < n else []
         if m > 1:
-            for _lab, w in up_covers(x.w, m - 1):
-                out.append((QElement(x.alpha, w), -1))
+            out += [(y, -1) for _lab, y in covers(x, m - 1)]
         return out
 
     return exp.apply(op)
 
 
-def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
-    """S_u times s_lambda(x_1, ..., x_k) in H*Fl_n, by iterated x_m-operators."""
-    n = u.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    lam = tuple(v for v in lam if v)
-    if len(lam) > k:
-        return Expansion(n)
-    out = Expansion(n)
-    for exps, c in schur_poly(lam, k).monomials():
+def _operator_sum(u: Permutation, monomials, x_op) -> Expansion:
+    """S_u times the sum of c x^e q^f over ((e, f), c), one x_op per x_m."""
+    out = Expansion(u.n)
+    for (xe, qe), c in monomials:
         cur = Expansion.unit(u)
-        for i, e in enumerate(exps, start=1):
+        for i, e in enumerate(xe, start=1):
             for _ in range(e):
-                cur = x_times(cur, i)
+                cur = x_op(cur, i)
+        if qe:
+            cur = cur.apply(lambda x: [(QElement(_padded_sum(x.alpha, qe), x.w), 1)])
         out = out + cur.scale(c)
     return out
 
 
-def _check_hook_args(u: Permutation, a: int, b: int, k: int) -> None:
-    n = u.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    if not 1 <= a <= k:
-        raise ValueError(f"hook height a={a} must be in 1..k={k}")
-    if not 1 <= b <= n - k:
-        raise ValueError(f"hook width b={b} must be in 1..n-k={n - k}")
+def _reachable(start, k: int, r: int, covers) -> set:
+    """Everything r cover-steps above ``start``."""
+    frontier = {start}
+    for _ in range(r):
+        frontier = {y for x in frontier for _lab, y in covers(x, k)}
+    return frontier
+
+
+def _minimal_rule(start, k: int, r: int, covers, coeff) -> Expansion:
+    """Sum coeff(zeta, #cycles) q^alpha w over the minimal intervals of rank r.
+
+    Walks r cover-steps up from ``start``: u on the classical frontier, q^0 u
+    on the quantum one.  A top q^alpha w counts when zeta = w u^{-1} has
+    #supp - #cycles = r.
+    """
+    classical = isinstance(start, Permutation)
+    u = start if classical else start.w
+    u_inv = u.inverse()
+    zero = (0,) * (u.n - 1)
+    terms = []
+    for x in _reachable(start, k, r, covers):
+        w = x if classical else x.w
+        zeta = w * u_inv
+        cycles = zeta.num_cycles()
+        if len(zeta.support()) - cycles != r:
+            continue  # reachable at rank r but the interval is not minimal
+        c = coeff(zeta, cycles)
+        if c:
+            terms.append((QElement(zero, w) if classical else x, c))
+    return Expansion(u.n, terms)
+
+
+def _hook_coefficient(a: int):
+    return lambda zeta, _cycles: peakless_count(zeta, a)
+
+
+def _powersum_coefficient(zeta: Permutation, cycles: int) -> int:
+    return (-1) ** (het(zeta) + 1) if cycles == 1 else 0
+
+
+# -- classical products ---------------------------------------------------------
+
+
+def monk_multiply(u: Permutation, k: int) -> Expansion:
+    """S_u times S_{(k, k+1)} = x_1 + ... + x_k: the k-Bruhat covers of u."""
+    zero = (0,) * (u.n - 1)
+    terms = _monk_terms(u, k, up_covers)
+    return Expansion(u.n, [(QElement(zero, w), c) for w, c in terms])
+
+
+def x_times(exp: Expansion, m: int) -> Expansion:
+    """Multiplication by x_m in H*Fl_n (monk at m minus monk at m - 1)."""
+    return _x_times(exp, m, _lifted_up_covers)
+
+
+def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
+    """S_u times s_lambda(x_1, ..., x_k) in H*Fl_n, by iterated x_m-operators."""
+    _check_k(u.n, k)
+    monomials = [((e, ()), c) for e, c in schur_poly(lam, k).monomials()]
+    return _operator_sum(u, monomials, x_times)
 
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
@@ -416,13 +479,6 @@ def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
     return Expansion(n, [(QElement(zero, w), c) for w, c in counts.items()])
 
 
-def _reachable_at_rank(u: Permutation, k: int, r: int) -> set[Permutation]:
-    frontier = {u}
-    for _ in range(r):
-        frontier = {y for x in frontier for _lab, y in up_covers(x, k)}
-    return frontier
-
-
 def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     """S_u times s_{(b, 1^(a-1))}(x_1..x_k), via minimal permutations.
 
@@ -430,34 +486,13 @@ def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     with #supp - #cycles = a + b - 1.
     """
     _check_hook_args(u, a, b, k)
-    n = u.n
-    r = a + b - 1
-    zero = (0,) * (n - 1)
-    terms = []
-    for w in _reachable_at_rank(u, k, r):
-        zeta = w * u.inverse()
-        if len(zeta.support()) - zeta.num_cycles() != r:
-            continue  # reachable at rank r but not minimal
-        c = peakless_count(zeta, a)
-        if c:
-            terms.append((QElement(zero, w), c))
-    return Expansion(n, terms)
+    return _minimal_rule(u, k, a + b - 1, up_covers, _hook_coefficient(a))
 
 
 def powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:
     """S_u times p_r(x_1..x_k): signed sum over minimal cycles of rank r."""
-    n = u.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    if r < 1:
-        raise ValueError(f"power sum degree must be positive, got {r}")
-    zero = (0,) * (n - 1)
-    terms = []
-    for w in _reachable_at_rank(u, k, r):
-        zeta = w * u.inverse()
-        if zeta.num_cycles() == 1 and len(zeta.support()) - 1 == r:
-            terms.append((QElement(zero, w), (-1) ** (het(zeta) + 1)))
-    return Expansion(n, terms)
+    _check_powersum_args(u, r, k)
+    return _minimal_rule(u, k, r, up_covers, _powersum_coefficient)
 
 
 def poly_product(

@@ -159,7 +159,7 @@ def q_monk_text() -> str:
     return head + "\n" + exp.text() + "\n"
 
 
-def check_q_monk(n: int = 5) -> CheckResult:
+def check_q_monk() -> CheckResult:
     t0 = time.perf_counter()
     u = parse_permutation(_Q_MONK_U)
     exp = q_monk_multiply(u, _Q_MONK_K)
@@ -190,7 +190,7 @@ def mn_example_text() -> str:
     return head + "\n" + exp.text() + "\n"
 
 
-def check_mn_example(n: int = 5) -> CheckResult:
+def check_mn_example() -> CheckResult:
     t0 = time.perf_counter()
     exp = q_powersum_multiply(parse_permutation(_MN_U), _MN_R, _MN_K)
     ok = len(exp) == 17 and mn_example_text() == fixture_text("mn-example")
@@ -245,7 +245,7 @@ def _fmt_vec(v: Sequence[int]) -> str:
     return "(" + ",".join(str(a) for a in v) + ")"
 
 
-def check_q_minimal(n: int = 5) -> CheckResult:
+def check_q_minimal() -> CheckResult:
     t0 = time.perf_counter()
     u = parse_permutation(_QMIN_U)
     w = parse_permutation(_QMIN_W)
@@ -275,6 +275,9 @@ def check_q_minimal(n: int = 5) -> CheckResult:
 # -- oracle equivalences ----------------------------------------------------------
 
 
+_CLASSICAL_ORACLE_N = 5
+
+
 def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, int]:
     u = Permutation(word)
     n = u.n
@@ -298,11 +301,11 @@ def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, int]:
     return checked, bad
 
 
-def check_classical_oracles(n: int = 5) -> CheckResult:
+def check_classical_oracles() -> CheckResult:
     t0 = time.perf_counter()
-    results = parallel_map(
-        _classical_oracle_worker, (u.word for u in all_permutations(n))
-    )
+    n = _CLASSICAL_ORACLE_N
+    words = (u.word for u in all_permutations(n))
+    results = parallel_map(_classical_oracle_worker, words)
     checked = sum(c for c, _ in results)
     bad = sum(b for _, b in results)
     return _result(
@@ -350,7 +353,7 @@ def _quantum_oracle_cases() -> tuple[list, int]:
     return cases, exhaustive
 
 
-def check_quantum_oracles(n: int = 5) -> CheckResult:
+def check_quantum_oracles() -> CheckResult:
     t0 = time.perf_counter()
     cases, exhaustive = _quantum_oracle_cases()
     results = parallel_map(_quantum_oracle_worker, cases)
@@ -381,7 +384,7 @@ def _peakless_worker(word: tuple[int, ...]) -> tuple[int, int]:
     return 1, 0 if got == expect else 1
 
 
-def check_peakless_binomials(n: int = 5) -> CheckResult:
+def check_peakless_binomials() -> CheckResult:
     t0 = time.perf_counter()
     results = parallel_map(
         _peakless_worker, (z.word for z in all_permutations(6))
@@ -396,7 +399,7 @@ def check_peakless_binomials(n: int = 5) -> CheckResult:
     )
 
 
-def check_degree_two_relations(n: int = 5) -> CheckResult:
+def check_degree_two_relations() -> CheckResult:
     t0 = time.perf_counter()
     table = relation_table()
     bad = [name for name, entry in table.items() if not entry["ok"]]
@@ -439,7 +442,7 @@ def _path_worker(letters: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     return 1, 0 if ok else 1
 
 
-def check_quantum_paths(n: int = 5) -> CheckResult:
+def check_quantum_paths() -> CheckResult:
     t0 = time.perf_counter()
     results = parallel_map(_path_worker, _structural_paths(5))
     nonzero = sum(c for c, _ in results)
@@ -518,7 +521,7 @@ def _forest_worker(case: tuple[int, tuple]) -> tuple[int, int]:
     return 1, 0 if ok else 1
 
 
-def check_forest_decomposition(n: int = 5) -> CheckResult:
+def check_forest_decomposition() -> CheckResult:
     t0 = time.perf_counter()
     cases = _random_forest_words(_FOREST_DRAWS, _SEED_FOREST)
     results = parallel_map(_forest_worker, cases)
@@ -617,7 +620,7 @@ def _interval_worker(case: tuple) -> tuple[int, int]:
     return 1, bad
 
 
-def check_interval_equivalences(n: int = 5) -> CheckResult:
+def check_interval_equivalences() -> CheckResult:
     t0 = time.perf_counter()
     cases = _random_interval_cases(_INTERVAL_TARGET, _SEED_INTERVALS)
     results = parallel_map(_interval_worker, cases)
@@ -656,7 +659,7 @@ def _independence_worker(args: tuple[int, tuple[int, ...]]) -> list:
     return rows
 
 
-def check_quantum_independence(n: int = 5) -> CheckResult:
+def check_quantum_independence() -> CheckResult:
     t0 = time.perf_counter()
     args = [(4, u.word) for u in all_permutations(4)]
     args += [(5, u.word) for u in all_permutations(5)]
@@ -743,7 +746,7 @@ def figures_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_figures(n: int = 5) -> CheckResult:
+def check_figures() -> CheckResult:
     t0 = time.perf_counter()
     ok = figures_text() == fixture_text("figures")
     return _result(
@@ -757,7 +760,7 @@ def check_figures(n: int = 5) -> CheckResult:
 
 # -- registry ---------------------------------------------------------------------
 
-CHECKS: dict[str, Callable[..., CheckResult]] = {
+CHECKS: dict[str, Callable[[], CheckResult]] = {
     "q-monk": check_q_monk,
     "mn-example": check_mn_example,
     "q-minimal": check_q_minimal,
@@ -817,5 +820,5 @@ def resolve_names(names: Sequence[str]) -> list[str]:
     return out
 
 
-def run_checks(names: Sequence[str] = ("all",), n: int = 5) -> list[CheckResult]:
-    return [CHECKS[name](n=n) for name in resolve_names(names)]
+def run_checks(names: Sequence[str] = ("all",)) -> list[CheckResult]:
+    return [CHECKS[name]() for name in resolve_names(names)]

@@ -142,6 +142,8 @@ def test_verify_single_check(capsys):
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213"),
         ("verify", "not-a-check"),
         ("bogus",),
+        ("product", "--quantum", "--u", "1432", "--k", "2", "--lambda", "2,1", "--basis", "hook-theorem"),
+        ("verify", "--n", "6"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -41,6 +41,8 @@ from flagmn.schubert import (
     Poly,
     hook_multiply_minimal,
     monk_multiply,
+    powersum_multiply,
+    schur_multiply,
     schur_poly,
 )
 
@@ -200,16 +202,6 @@ def test_quantum_monk_is_linear_and_respects_q():
     )
 
 
-def test_quantum_monk_classical_part_is_monk():
-    for n in (3, 4):
-        for word in itertools.permutations(range(1, n + 1)):
-            u = Permutation(word)
-            for k in range(1, n):
-                quantum = q_monk_multiply(u, k).classical_terms()
-                classical = monk_multiply(u, k)
-                assert quantum == {x.w: c for x, c in classical.terms.items()}
-
-
 def test_q_x_times_telescopes_to_zero():
     # x_1 + ... + x_n acts as zero on every class
     for word in itertools.permutations((1, 2, 3, 4)):
@@ -319,17 +311,51 @@ def test_q_hook_of_single_box_is_quantum_monk():
             assert q_hook_multiply(u, 1, 1, k) == q_monk_multiply(u, k)
 
 
-def test_q_hook_classical_part_is_classical_hook():
-    for word in itertools.permutations((1, 2, 3, 4)):
-        u = Permutation(word)
-        for k in (1, 2, 3):
-            for a in range(1, k + 1):
-                for b in range(1, 4 - k + 1):
-                    quantum = q_hook_multiply(u, a, b, k).classical_terms()
-                    classical = hook_multiply_minimal(u, a, b, k)
-                    assert quantum == {
-                        z.w: c for z, c in classical.terms.items()
-                    }
+def _monk_args(n):
+    return [(k,) for k in range(1, n)]
+
+
+def _hook_args(n):
+    return [
+        (a, b, k)
+        for k in range(1, n)
+        for a in range(1, k + 1)
+        for b in range(1, n - k + 1)
+    ]
+
+
+def _powersum_args(n):
+    return [(r, k) for k in range(1, n) for r in range(1, n)]
+
+
+def _rectangle_args(n):
+    return [
+        (lam, k)
+        for k in range(1, n)
+        for size in range(1, k * (n - k) + 1)
+        for lam in partitions(size, max_part=n - k, max_parts=k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "quantum, classical, arguments",
+    [
+        (q_monk_multiply, monk_multiply, _monk_args),
+        (q_hook_multiply, hook_multiply_minimal, _hook_args),
+        (q_powersum_multiply, powersum_multiply, _powersum_args),
+        (q_schur_multiply, schur_multiply, _rectangle_args),
+    ],
+    ids=["monk", "hook", "powersum", "schur"],
+)
+def test_classical_part_is_classical_product(quantum, classical, arguments):
+    # the classical ring is the q = 0 shadow of the quantum ring
+    for n in (3, 4):
+        for u in all_permutations(n):
+            for args in arguments(n):
+                want = classical(u, *args)
+                assert want.is_classical()
+                got = quantum(u, *args).classical_terms()
+                assert got == want.classical_terms(), (u, args)
 
 
 def test_q_hook_terms_are_rank_homogeneous():

@@ -226,7 +226,7 @@ def test_monk_multiply_ring():
 def test_monk_multiply_poly_has_extra_terms():
     u = parse_permutation("321")
     ring = monk_multiply(u, 2)
-    poly = monk_multiply(u, 2, poly=True)
+    poly = monk_multiply(u.extend(4), 2)
     # in the quotient S_321 * S_s2 dies entirely for n = 3
     assert len(ring) == 0
     assert {str(x.w.trim()) for x, _ in poly.items()} == {"3412", "4213"}
