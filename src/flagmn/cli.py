@@ -17,7 +17,7 @@ from . import verification
 from .kbruhat import chains, interval
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
 from .perm import hook_partition, identity, parse_permutation
-from .qbruhat import QElement, parse_qelement, q_chains, q_interval
+from .qbruhat import parse_qelement, q_chains, q_interval
 from .qschubert import (
     QLRQuery,
     fgp_product,
@@ -166,7 +166,10 @@ def cmd_product(args) -> int:
     n = _product_ambient(args, kind, data)
     if n < 2:
         raise UsageError(f"ambient S_{n} is too small")
-    u = identity(n) if args.u == "e" else parse_permutation(args.u).extend(n)
+    u = identity(n) if args.u == "e" else parse_permutation(args.u)
+    if u.n > n:
+        raise UsageError(f"--n {n} is too small for --u {args.u} in S_{u.n}")
+    u = u.extend(n)
     k = args.k
     if not 1 <= k <= n - 1:
         raise UsageError(f"k must be in 1..{n - 1}, got {k}")
@@ -250,6 +253,8 @@ def cmd_operators(args) -> int:
         print(word_to_dot(word))
         return 0
     action = None
+    if args.k is not None and args.u is None:
+        raise UsageError("--k needs --u")
     if args.u is not None:
         if args.k is None:
             raise UsageError("--u needs --k")

@@ -113,43 +113,30 @@ def bruhat_leq(x: Permutation, w: Permutation) -> bool:
     return True
 
 
-def _position_constraints_ok(u: Permutation, w: Permutation, k: int) -> bool:
-    # Necessary for u <=_k w: with zeta = w u^{-1}, every rising value of zeta
-    # sits in a position <= k of u and every falling value in a position > k.
-    zeta = w * u.inverse()
-    for v in range(1, u.n + 1):
-        img = zeta(v)
-        if img > v and u.position(v) > k:
-            return False
-        if img < v and u.position(v) <= k:
-            return False
-    return True
-
-
 def leq_k(u: Permutation, w: Permutation, k: int) -> bool:
-    """Whether u <= w in the k-Bruhat order."""
+    """Whether u <= w in the k-Bruhat order.
+
+    Bergeron-Sottile's criterion (Duke 1998, Thm A): u <=_k w iff
+    u(a) <= w(a) for every a <= k and u(b) >= w(b) for every b > k, and
+    every pair a < b with u(a) < u(b) and w(a) > w(b) has a <= k < b.
+
+    >>> u, w = Permutation((1, 3, 2, 4)), Permutation((1, 4, 2, 3))
+    >>> leq_k(u, w, 2), leq_k(u, w, 1)
+    (True, False)
+    """
     if u.n != w.n:
         raise ValueError("size mismatch")
-    if u == w:
-        return True
-    budget = w.length - u.length
-    if budget <= 0 or not bruhat_leq(u, w):
+    x, y = u.word, w.word
+    if any(p > q for p, q in zip(x[:k], y[:k])) or any(
+        p < q for p, q in zip(x[k:], y[k:])
+    ):
         return False
-    if not _position_constraints_ok(u, w, k):
-        return False
-    frontier = {u}
-    for _ in range(budget):
-        nxt: set[Permutation] = set()
-        for x in frontier:
-            for _lab, y in up_covers(x, k):
-                if y == w:
-                    return True
-                if y.length < w.length and bruhat_leq(y, w):
-                    nxt.add(y)
-        frontier = nxt
-        if not frontier:
-            return False
-    return False
+    # a pair that u orders and w inverts must straddle k: none within a block
+    return not any(
+        xs[a] < xs[b] and ys[a] > ys[b]
+        for xs, ys in ((x[:k], y[:k]), (x[k:], y[k:]))
+        for a, b in itertools.combinations(range(len(xs)), 2)
+    )
 
 
 # -- labeled graded posets ---------------------------------------------------
@@ -184,9 +171,6 @@ class LabeledPoset:
     def edge_labels(self) -> list:
         return sorted(lab for _x, lab, _y in self.edges)
 
-    def successors(self, x: Hashable) -> list[tuple[Hashable, Hashable]]:
-        return [(lab, y) for a, lab, y in self.edges if a == x]
-
     def to_dot(self) -> str:
         lines = ["digraph interval {", "  rankdir=BT;"]
         for x in self.elements:
@@ -214,32 +198,50 @@ class LabeledPoset:
         )
 
 
-def _build_interval(
+_Covers = Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]]
+
+
+def _forward_pass(
     bottom: Hashable,
     top: Hashable,
     rank: Callable[[Hashable], int],
-    covers: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
+    covers: _Covers,
     prune: Callable[[Hashable], bool],
-    what: str,
-) -> LabeledPoset:
-    budget = rank(top) - rank(bottom)
-    if budget < 0:
-        raise ValueError(f"{bottom} is not below {top} in the {what}")
+) -> tuple[dict[Hashable, list[tuple[Hashable, Hashable]]], set]:
+    """The cover edges out of everything reached from bottom up to rank(top).
+
+    Covers above rank(top) or failing prune are dropped.  Returns the
+    adjacency lists (x -> [(label, y), ...]) and the set of reached elements,
+    which holds top exactly when top is reachable through kept covers.
+    """
+    top_rank = rank(top)
     adj: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
     frontier = {bottom}
     seen = {bottom}
-    for _ in range(budget):
+    for _ in range(top_rank - rank(bottom)):
         nxt: set[Hashable] = set()
         for x in frontier:
             for lab, y in covers(x):
-                if rank(y) > rank(top) or not prune(y):
+                if rank(y) > top_rank or not prune(y):
                     continue
                 adj.setdefault(x, []).append((lab, y))
                 if y not in seen:
                     seen.add(y)
                     nxt.add(y)
         frontier = nxt
-    if top != bottom and top not in seen:
+    return adj, seen
+
+
+def _build_interval(
+    bottom: Hashable,
+    top: Hashable,
+    rank: Callable[[Hashable], int],
+    covers: _Covers,
+    prune: Callable[[Hashable], bool],
+    what: str,
+) -> LabeledPoset:
+    adj, seen = _forward_pass(bottom, top, rank, covers, prune)
+    if top not in seen:
         raise ValueError(f"{bottom} is not below {top} in the {what}")
     # keep only elements on a path from bottom to top
     radj: dict[Hashable, list[Hashable]] = {}
@@ -254,8 +256,6 @@ def _build_interval(
             if x not in keep:
                 keep.add(x)
                 stack.append(x)
-    if bottom not in keep:
-        raise ValueError(f"{bottom} is not below {top} in the {what}")
     base = rank(bottom)
     rank_of = {x: rank(x) - base for x in keep}
     elements = tuple(sorted(keep, key=lambda x: (rank_of[x], str(x))))
@@ -279,19 +279,14 @@ def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
 
     Raises ValueError when u is not below w in the k-Bruhat order.
     """
-    if u.n != w.n:
-        raise ValueError("size mismatch")
-    if u != w and not (
-        bruhat_leq(u, w) and _position_constraints_ok(u, w, k)
-    ):
+    if not leq_k(u, w, k):
         raise ValueError(f"{u} is not below {w} in the {k}-Bruhat order")
-    wlen = w.length
     return _build_interval(
         u,
         w,
         rank=lambda x: x.length,
         covers=lambda x: up_covers(x, k),
-        prune=lambda y: y.length <= wlen and bruhat_leq(y, w),
+        prune=lambda y: leq_k(y, w, k),
         what=f"{k}-Bruhat order",
     )
 
@@ -354,32 +349,12 @@ def peakless_height(labels: Sequence[int]) -> int | None:
 def peakless_chain_counts(
     u: Permutation, w: Permutation, k: int
 ) -> dict[int, int]:
-    """Number of peakless chains of [u, w]_k by height.
-
-    The label-pattern constraint prunes the chain search, so this is usable
-    on intervals whose full chain count would be unreasonable.
-    """
-    poset = interval(u, w, k)
-    adj: dict[Hashable, list[tuple[int, Hashable]]] = {}
-    for x, lab, y in poset.edges:
-        adj.setdefault(x, []).append((lab, y))
+    """Number of peakless chains of [u, w]_k by height."""
     counts: dict[int, int] = {}
-    r = poset.rank_of[poset.top]
-    if r == 0:
-        return counts
-
-    def walk(x, last: int, descending: bool, height: int, depth: int):
-        if x == poset.top and depth == r:
+    for chain in chains(u, w, k):
+        height = peakless_height(chain.labels)
+        if height is not None:
             counts[height] = counts.get(height, 0) + 1
-            return
-        for lab, y in adj.get(x, ()):
-            if descending and lab < last:
-                walk(y, lab, True, depth + 1, depth + 1)
-            elif lab > last:
-                walk(y, lab, False, height, depth + 1)
-
-    for lab, y in adj.get(poset.bottom, ()):
-        walk(y, lab, True, 1, 1)
     return counts
 
 
@@ -390,23 +365,15 @@ def has_peakless_chain(u: Permutation, w: Permutation, k: int) -> bool:
 # -- minimality ---------------------------------------------------------------
 
 
-def find_witness(
-    zeta: Permutation, *, flatten_first: bool = False
-) -> tuple[Permutation, int]:
-    """Some (u, k) with u <=_k zeta u, searched over position-compatible u.
-
-    With ``flatten_first`` the witness is for the flattened shape of zeta
-    (equivalent for rank computations, much faster).
-    """
-    z = flatten_cycles(zeta) if flatten_first else zeta
-    if z.is_identity():
-        z = identity(2) if z.n < 2 else z
-        return identity(z.n), 1
-    n = z.n
-    supp = sorted(z.support())
-    rising = [v for v in supp if z(v) > v]
-    falling = [v for v in supp if z(v) < v]
-    fixed = [v for v in range(1, n + 1) if z(v) == v]
+def find_witness(zeta: Permutation) -> tuple[Permutation, int]:
+    """Some (u, k) with u <=_k zeta u, searched over position-compatible u."""
+    if zeta.is_identity():
+        return identity(max(zeta.n, 2)), 1
+    n = zeta.n
+    supp = sorted(zeta.support())
+    rising = [v for v in supp if zeta(v) > v]
+    falling = [v for v in supp if zeta(v) < v]
+    fixed = [v for v in range(1, n + 1) if zeta(v) == v]
     h = len(rising)
     for k in range(max(h, 1), min(n - len(supp) + h, n - 1) + 1):
         for fixed_left in itertools.combinations(fixed, k - h):
@@ -415,7 +382,7 @@ def find_witness(
             for left in itertools.permutations(left_vals):
                 for right in itertools.permutations(right_vals):
                     u = Permutation(left + right)
-                    if leq_k(u, z * u, k):
+                    if leq_k(u, zeta * u, k):
                         return u, k
     raise ValueError(f"no witness found for {zeta}")
 

@@ -21,7 +21,14 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .kbruhat import Chain, LabeledPoset, _build_interval, poset_chains, up_covers
+from .kbruhat import (
+    Chain,
+    LabeledPoset,
+    _build_interval,
+    _forward_pass,
+    poset_chains,
+    up_covers,
+)
 from .perm import Permutation, parse_permutation
 
 __all__ = [
@@ -150,47 +157,33 @@ def _alpha_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _search(u: Permutation, t: QElement, k: int) -> dict:
+    # the arguments of the interval search from u up to t: covers that
+    # overshoot t's q-degree on some wall can never come back below t
+    if u.n != t.w.n:
+        raise ValueError("size mismatch")
+    return dict(
+        bottom=QElement((0,) * (u.n - 1), u),
+        top=t,
+        rank=lambda x: x.rank,
+        covers=lambda x: q_up_covers(x, k),
+        prune=lambda y: _alpha_leq(y.alpha, t.alpha),
+    )
+
+
 def q_interval(u: Permutation, t: QElement, k: int) -> LabeledPoset:
     """The interval [u, t]_k^q as a labeled graded poset.
 
     Raises ValueError when u is not below t.
     """
-    if u.n != t.w.n:
-        raise ValueError("size mismatch")
-    bottom = QElement((0,) * (u.n - 1), u)
-    return _build_interval(
-        bottom,
-        t,
-        rank=lambda x: x.rank,
-        covers=lambda x: q_up_covers(x, k),
-        prune=lambda y: y.rank <= t.rank and _alpha_leq(y.alpha, t.alpha),
-        what=f"quantum {k}-Bruhat order",
-    )
+    what = f"quantum {k}-Bruhat order"
+    return _build_interval(**_search(u, t, k), what=what)
 
 
 def q_leq(u: Permutation, t: QElement, k: int) -> bool:
     """Whether u <= t in the quantum k-Bruhat order."""
-    if u.n != t.w.n:
-        raise ValueError("size mismatch")
-    bottom = QElement((0,) * (u.n - 1), u)
-    if bottom == t:
-        return True
-    budget = t.rank - bottom.rank
-    if budget <= 0:
-        return False
-    frontier = {bottom}
-    for _ in range(budget):
-        nxt: set[QElement] = set()
-        for x in frontier:
-            for _lab, y in q_up_covers(x, k):
-                if y == t:
-                    return True
-                if y.rank < t.rank and _alpha_leq(y.alpha, t.alpha):
-                    nxt.add(y)
-        frontier = nxt
-        if not frontier:
-            return False
-    return False
+    _adj, reached = _forward_pass(**_search(u, t, k))
+    return t in reached
 
 
 def q_chains(u: Permutation, t: QElement, k: int) -> Iterator[Chain]:

@@ -69,7 +69,6 @@ from .qschubert import (
     w0_element,
 )
 from .schubert import (
-    Expansion,
     hook_multiply_chains,
     hook_multiply_minimal,
     poly_product,

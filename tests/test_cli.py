@@ -144,6 +144,9 @@ def test_verify_single_check(capsys):
         ("bogus",),
         ("product", "--quantum", "--u", "1432", "--k", "2", "--lambda", "2,1", "--basis", "hook-theorem"),
         ("verify", "--n", "6"),
+        ("operators", "--word", "v(1,2)", "--n", "3", "--k", "1"),
+        ("product", "--u", "1432", "--n", "3", "--k", "1", "--class", "s1"),
+        ("product", "--quantum", "--u", "1234567", "--k", "1", "--lambda", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -105,10 +105,25 @@ def brute_leq_k(u, w, k):
 
 
 def test_leq_k_matches_brute_force():
-    for u in all_permutations(4):
-        for w in all_permutations(4):
-            for k in (1, 2, 3):
-                assert leq_k(u, w, k) == brute_leq_k(u, w, k)
+    perms = list(all_permutations(5))
+    for u in perms:
+        for w in perms:
+            for k in (1, 2, 3, 4):
+                assert leq_k(u, w, k) == brute_leq_k(u, w, k), (u, w, k)
+
+
+def test_interval_is_the_brute_force_interval_s4():
+    perms = list(all_permutations(4))
+    for k in (1, 2, 3):
+        below = {(x, y): brute_leq_k(x, y, k) for x in perms for y in perms}
+        for u in perms:
+            for w in perms:
+                want = {x for x in perms if below[u, x] and below[x, w]}
+                if want:
+                    assert set(interval(u, w, k).elements) == want, (u, w, k)
+                else:
+                    with pytest.raises(ValueError):
+                        interval(u, w, k)
 
 
 FIG_LEFT_NODES = {

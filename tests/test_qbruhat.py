@@ -231,6 +231,29 @@ def test_q_leq():
     assert not q_leq(u, qe("12345", 5), 3)
 
 
+def test_q_leq_is_unpruned_reachability():
+    # every t of q-degree <= 1 in S_3 and S_4, against a plain walk up the
+    # quantum covers that stops only at the largest rank such a t can have
+    for n in (3, 4):
+        perms = list(all_permutations(n))
+        alphas = [(0,) * (n - 1)] + [q_ij(i, i + 1, n) for i in range(1, n)]
+        targets = [QElement(alpha, w) for alpha in alphas for w in perms]
+        top_rank = max(t.rank for t in targets)
+        for u in perms:
+            for k in range(1, n):
+                frontier = reached = {QElement((0,) * (n - 1), u)}
+                while frontier:
+                    frontier = {
+                        y
+                        for x in frontier
+                        for _lab, y in q_up_covers(x, k)
+                        if y.rank <= top_rank
+                    }
+                    reached = reached | frontier
+                for t in targets:
+                    assert q_leq(u, t, k) == (t in reached), (u, t, k)
+
+
 def test_is_minimal_interval_raises_when_incomparable():
     with pytest.raises(ValueError):
         is_minimal_interval(

@@ -10,6 +10,7 @@ from flagmn.perm import (
     from_cycles,
     grassmannian,
     hook_partition,
+    identity,
     parse_permutation,
     partitions,
 )
@@ -292,6 +293,12 @@ def test_fgp_reproduces_quantum_monk_s4():
     assert fgp_product(u, (1,), 2, 4) == q_monk_multiply(u, 2)
     with pytest.raises(ValueError):
         fgp_product(u, (1,), 2, 3)
+
+
+def test_fgp_refuses_s7_before_building_the_change_of_basis():
+    # the 5040 x 5040 inversion at n = 7 would never finish
+    with pytest.raises(ValueError, match="stops at S_6"):
+        fgp_product(identity(7), (1,), 1)
 
 
 def test_q_hook_validates_arguments():
