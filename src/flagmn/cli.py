@@ -98,11 +98,11 @@ def _product_shape(args) -> tuple[str, tuple]:
     return "lambda", (_parse_shape(args.shape),)
 
 
-def _product_ambient(args, kind: str, data) -> int:
+def _product_ambient(args, u, kind: str, data) -> int:
     if args.n is not None:
         return args.n
-    if args.u != "e":
-        return len(args.u)
+    if u is not None:
+        return u.n
     # the widest row: b for the hook (a, b), r for p_r, lam_1 for (lam,)
     return args.k + (data[0][0] if kind == "lambda" else data[-1])
 
@@ -161,15 +161,19 @@ def _basis_help() -> str:
     return f"{listed}; every other product has one route"
 
 
+def _extend_u(u, n: int, text: str):
+    if u.n > n:
+        raise UsageError(f"--n {n} is too small for --u {text} in S_{u.n}")
+    return u.extend(n)
+
+
 def cmd_product(args) -> int:
     kind, data = _product_shape(args)
-    n = _product_ambient(args, kind, data)
+    u = None if args.u == "e" else parse_permutation(args.u)
+    n = _product_ambient(args, u, kind, data)
     if n < 2:
         raise UsageError(f"ambient S_{n} is too small")
-    u = identity(n) if args.u == "e" else parse_permutation(args.u)
-    if u.n > n:
-        raise UsageError(f"--n {n} is too small for --u {args.u} in S_{u.n}")
-    u = u.extend(n)
+    u = identity(n) if u is None else _extend_u(u, n, args.u)
     k = args.k
     if not 1 <= k <= n - 1:
         raise UsageError(f"k must be in 1..{n - 1}, got {k}")
@@ -258,7 +262,7 @@ def cmd_operators(args) -> int:
     if args.u is not None:
         if args.k is None:
             raise UsageError("--u needs --k")
-        u = parse_permutation(args.u).extend(args.n)
+        u = _extend_u(parse_permutation(args.u), args.n, args.u)
         result = act(word, u, args.k)
         action = "0" if result is None else str(result)
     if args.format == "json":

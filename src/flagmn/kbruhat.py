@@ -79,18 +79,9 @@ def cover_transposition(
     u: Permutation, w: Permutation, k: int
 ) -> tuple[int, int] | None:
     """The (i, j) with w = u * t_ij if u -> w is a k-Bruhat cover, else None."""
-    diff = [i + 1 for i in range(u.n) if u.word[i] != w.word[i]]
-    if len(diff) != 2:
+    if w not in [v for _lab, v in up_covers(u, k)]:
         return None
-    i, j = diff
-    if not (i <= k < j):
-        return None
-    if u(i) > u(j) or w != u.swap_positions(i, j):
-        return None
-    lo, hi = u(i), u(j)
-    if any(lo < u(l) < hi for l in range(i + 1, j)):
-        return None
-    return (i, j)
+    return tuple(i + 1 for i, (a, b) in enumerate(zip(u.word, w.word)) if a != b)
 
 
 def bruhat_leq(x: Permutation, w: Permutation) -> bool:

@@ -446,27 +446,11 @@ def _chain_linked_row(app: Sequence[tuple[int, int]]) -> bool:
     )
 
 
-def _chain_linked_column(app: Sequence[tuple[int, int]]) -> bool:
-    # connected classical column in application order: (a1,b1),(a2,a1),...
-    return all(a < b for a, b in app) and all(
-        nxt[1] == prev[0] for prev, nxt in zip(app, app[1:])
-    )
-
-
 def _is_classical_row(word: OperatorWord) -> bool:
     if has_crossing_components(word):
         return False
     return all(
         _chain_linked_row(c.application_order) for c in word_components(word)
-    )
-
-
-def _is_classical_column(word: OperatorWord) -> bool:
-    if has_crossing_components(word):
-        return False
-    return all(
-        _chain_linked_column(c.application_order)
-        for c in word_components(word)
     )
 
 
@@ -484,11 +468,11 @@ def row_shift(word: OperatorWord) -> int | None:
 
 
 def column_shift(word: OperatorWord) -> int | None:
-    """The least cyclic-shift power making the word a classical column, if any."""
-    for r in range(word.n):
-        if _is_classical_column(o_shift_word(word, r)):
-            return r
-    return None
+    """The least cyclic-shift power making the word a classical column, if any.
+
+    A column is a row applied in the reverse order.
+    """
+    return row_shift(rho_word(word))
 
 
 def is_row(word: OperatorWord) -> bool:
@@ -761,7 +745,7 @@ def rc_decompose(
             row = OperatorWord.from_application(n, app[cut:])
             for r in range(n):
                 if not (
-                    _is_classical_column(o_shift_word(col, r))
+                    _is_classical_row(rho_word(o_shift_word(col, r)))
                     and _is_classical_row(o_shift_word(row, r))
                 ):
                     continue

@@ -1,10 +1,10 @@
 """Release-gate sweeps: every headline guarantee recomputed from scratch.
 
-Each named check returns a CheckResult and is independent of the others, so
-``run_checks`` can execute any subset.  The heavy sweeps fan out over
-FLAGMN_THREADS worker processes (serial unless the variable is set); workers
-exchange plain tuples and the reduce preserves input order, so reports are
-byte-identical at every parallelism level.
+Each check is declared once, with ``@_check``, and is independent of the
+others, so ``run_checks`` can execute any subset.  The heavy sweeps fan out
+over FLAGMN_THREADS worker processes (serial unless the variable is set);
+workers exchange plain tuples and the reduce preserves input order, so
+reports, first failures included, are byte-identical at every parallelism level.
 
 The ``reproduce_text`` builders regenerate the worked examples that ship as
 fixture files; ``fixture_text`` loads the bundled expectation they are
@@ -14,6 +14,7 @@ against them, never regenerate them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -48,8 +49,8 @@ from .perm import (
     Permutation,
     all_permutations,
     cyclic_shift,
-    fits_rectangle,
     hook_partition,
+    is_hook,
     longest_element,
     parse_permutation,
     partitions,
@@ -94,10 +95,6 @@ class CheckResult:
     detail: str
     seconds: float
 
-    def line(self) -> str:
-        status = "ok  " if self.ok else "FAIL"
-        return f"{status} {self.name:<22} {self.seconds:7.2f}s  {self.detail}"
-
 
 def _thread_count() -> int:
     try:
@@ -121,28 +118,58 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _result(name: str, ok: bool, detail: str, t0: float) -> CheckResult:
-    return CheckResult(name, ok, detail, time.perf_counter() - t0)
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(name: str):
+    """Register ``fn() -> (failure, detail)`` as the timed gate check ``name``.
+
+    ``failure`` is None on a pass and otherwise names the first failing case.
+    CHECKS keeps definition order, the order ``verify all`` runs in.
+    """
+
+    def register(fn: Callable[[], tuple[str | None, str]]):
+        @functools.wraps(fn)
+        def run() -> CheckResult:
+            t0 = time.perf_counter()
+            failure, detail = fn()
+            if failure is not None:
+                detail += f"; first failure: {failure}"
+            return CheckResult(name, failure is None, detail, time.perf_counter() - t0)
+
+        CHECKS[name] = run
+        return run
+
+    return register
+
+
+def _sweep(worker: Callable, cases: Iterable) -> tuple[int, str | None]:
+    """Sum the checked counts; keep the first failure in input order."""
+    results = parallel_map(worker, cases)
+    failures = (failure for _, failure in results if failure is not None)
+    return sum(c for c, _ in results), next(failures, None)
+
+
+def _first_failure(case: str, *tests: tuple[str, bool]) -> str | None:
+    """``"case: label"`` for the first ``(label, passed)`` test that failed."""
+    return next((f"{case}: {label}" for label, passed in tests if not passed), None)
 
 
 # -- fixtures -------------------------------------------------------------------
 
-_FIXTURE_FILES = {
-    "q-monk": "q_monk.txt",
-    "mn-example": "mn_example.txt",
-    "q-minimal": "q_minimal.txt",
-    "figures": "figures.txt",
-}
-
 
 def fixture_text(name: str) -> str:
-    try:
-        fname = _FIXTURE_FILES[name]
-    except KeyError:
+    if name not in REPRODUCIBLES:
         raise ValueError(
-            f"unknown fixture {name!r}; choose from {sorted(_FIXTURE_FILES)}"
-        ) from None
+            f"unknown fixture {name!r}; choose from {sorted(REPRODUCIBLES)}"
+        )
+    fname = name.replace("-", "_") + ".txt"
     return (resources.files("flagmn") / "fixtures" / fname).read_text()
+
+
+def _matches_fixture(name: str) -> tuple[str, bool]:
+    same = REPRODUCIBLES[name]() == fixture_text(name)
+    return "reproduce != the bundled fixture", same
 
 
 # -- worked examples (also the `reproduce` builders) ----------------------------
@@ -158,8 +185,8 @@ def q_monk_text() -> str:
     return head + "\n" + exp.text() + "\n"
 
 
-def check_q_monk() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("q-monk")
+def check_q_monk():
     u = parse_permutation(_Q_MONK_U)
     exp = q_monk_multiply(u, _Q_MONK_K)
     expected = {
@@ -168,14 +195,14 @@ def check_q_monk() -> CheckResult:
         "q^(0,1,0) 1342": 1,
         "q^(0,1,1) 1234": 1,
     }
-    ok = (
-        {str(x): c for x, c in exp.terms.items()} == expected
-        and fgp_product(u, (1,), _Q_MONK_K) == exp
-        and q_monk_text() == fixture_text("q-monk")
+    terms = {str(x): c for x, c in exp.terms.items()}
+    failure = _first_failure(
+        f"u={u} k={_Q_MONK_K} class=s1",
+        ("cover rule != the printed table", terms == expected),
+        ("cover rule != fgp-oracle", fgp_product(u, (1,), _Q_MONK_K) == exp),
+        _matches_fixture("q-monk"),
     )
-    return _result(
-        "q-monk", ok, "divisor product: cover rule = quantization oracle", t0
-    )
+    return failure, "divisor product: cover rule = quantization oracle"
 
 
 _MN_U = "68235741"
@@ -189,16 +216,16 @@ def mn_example_text() -> str:
     return head + "\n" + exp.text() + "\n"
 
 
-def check_mn_example() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("mn-example")
+def check_mn_example():
     exp = q_powersum_multiply(parse_permutation(_MN_U), _MN_R, _MN_K)
-    ok = len(exp) == 17 and mn_example_text() == fixture_text("mn-example")
-    return _result(
-        "mn-example",
-        ok,
-        f"power sum in S_8[q]: {len(exp)} signed terms match the bundled table",
-        t0,
+    failure = _first_failure(
+        f"u={_MN_U} k={_MN_K} p{_MN_R}",
+        (f"{len(exp)} terms, not 17", len(exp) == 17),
+        _matches_fixture("mn-example"),
     )
+    detail = f"power sum in S_8[q]: {len(exp)} signed terms match the bundled table"
+    return failure, detail
 
 
 _QMIN_U = "68235741"
@@ -244,8 +271,8 @@ def _fmt_vec(v: Sequence[int]) -> str:
     return "(" + ",".join(str(a) for a in v) + ")"
 
 
-def check_q_minimal() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("q-minimal")
+def check_q_minimal():
     u = parse_permutation(_QMIN_U)
     w = parse_permutation(_QMIN_W)
     alpha = _qmin_alpha()
@@ -262,13 +289,12 @@ def check_q_minimal() -> CheckResult:
         (2, 1, 1): 1,
         (1, 1, 1, 1): 0,
     }
-    ok = values == expected and q_minimal_text() == fixture_text("q-minimal")
-    return _result(
-        "q-minimal",
-        ok,
-        "descent-exchange path and all |lam| = 4 coefficients as printed",
-        t0,
+    failure = _first_failure(
+        f"u={u} w={w} k={_QMIN_K}",
+        (f"ll-reduce {values} != the printed table", values == expected),
+        _matches_fixture("q-minimal"),
     )
+    return failure, "descent-exchange path and all |lam| = 4 coefficients as printed"
 
 
 # -- oracle equivalences ----------------------------------------------------------
@@ -277,10 +303,11 @@ def check_q_minimal() -> CheckResult:
 _CLASSICAL_ORACLE_N = 5
 
 
-def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, int]:
+def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, str | None]:
     u = Permutation(word)
     n = u.n
-    checked = bad = 0
+    checked = 0
+    failure = None
     for k in range(1, n):
         for a in range(1, k + 1):
             for b in range(1, n - k + 1):
@@ -291,28 +318,23 @@ def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, int]:
                     w.extend(n): c for w, c in poly.items() if w.n <= n
                 }
                 checked += 1
-                if not (
-                    chains_exp == minimal_exp
-                    and chains_exp.is_classical()
-                    and chains_exp.classical_terms() == trimmed
-                ):
-                    bad += 1
-    return checked, bad
+                failure = failure or _first_failure(
+                    f"u={u} k={k} hook={a},{b}",
+                    ("chains != minimal", chains_exp == minimal_exp),
+                    ("chains has a q-term", chains_exp.is_classical()),
+                    ("chains != poly-oracle", chains_exp.classical_terms() == trimmed),
+                )
+    return checked, failure
 
 
-def check_classical_oracles() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("classical-oracles")
+def check_classical_oracles():
     n = _CLASSICAL_ORACLE_N
     words = (u.word for u in all_permutations(n))
-    results = parallel_map(_classical_oracle_worker, words)
-    checked = sum(c for c, _ in results)
-    bad = sum(b for _, b in results)
-    return _result(
-        "classical-oracles",
-        bad == 0,
+    checked, failure = _sweep(_classical_oracle_worker, words)
+    return failure, (
         f"S_{n}: {checked} hook products, chain rule = minimal-interval rule"
-        " = polynomial oracle",
-        t0,
+        " = polynomial oracle"
     )
 
 
@@ -321,16 +343,18 @@ _SEED_QUANTUM = 20230814
 
 def _quantum_oracle_worker(
     case: tuple[tuple[int, ...], int, int, int]
-) -> tuple[int, int]:
+) -> tuple[int, str | None]:
     word, k, a, b = case
     u = Permutation(word)
     lam = hook_partition(a, b)
     got = q_hook_multiply(u, a, b, k)
-    bad = 0 if got == fgp_product(u, lam, k) else 1
+    at = f"u={u} k={k} hook={a},{b}"
+    if got != fgp_product(u, lam, k):
+        return 1, f"{at}: hook-theorem != fgp-oracle"
     for z, c in got.items():
         if quantum_lr(QLRQuery(u, z.w, z.alpha, lam, k)) != c:
-            bad += 1
-    return 1, bad
+            return 1, f"{at}: hook-theorem != ll-reduce at {z}"
+    return 1, None
 
 
 def _quantum_oracle_cases() -> tuple[list, int]:
@@ -352,27 +376,23 @@ def _quantum_oracle_cases() -> tuple[list, int]:
     return cases, exhaustive
 
 
-def check_quantum_oracles() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("quantum-oracles")
+def check_quantum_oracles():
     cases, exhaustive = _quantum_oracle_cases()
-    results = parallel_map(_quantum_oracle_worker, cases)
-    bad = sum(b for _, b in results)
-    return _result(
-        "quantum-oracles",
-        bad == 0,
+    _checked, failure = _sweep(_quantum_oracle_worker, cases)
+    return failure, (
         f"{exhaustive} exhaustive S_4 + {len(cases) - exhaustive} seeded S_5"
-        " hook products: theorem = quantization = coefficient recursion",
-        t0,
+        " hook products: theorem = quantization = coefficient recursion"
     )
 
 
 # -- property sweeps --------------------------------------------------------------
 
 
-def _peakless_worker(word: tuple[int, ...]) -> tuple[int, int]:
+def _peakless_worker(word: tuple[int, ...]) -> tuple[int, str | None]:
     zeta = Permutation(word)
     if not is_minimal(zeta):
-        return 0, 0
+        return 0, None
     u, k = find_witness(zeta)
     got = peakless_chain_counts(u, zeta * u, k)
     expect = {}
@@ -380,33 +400,27 @@ def _peakless_worker(word: tuple[int, ...]) -> tuple[int, int]:
         c = peakless_count(zeta, a)
         if c:
             expect[a] = c
-    return 1, 0 if got == expect else 1
-
-
-def check_peakless_binomials() -> CheckResult:
-    t0 = time.perf_counter()
-    results = parallel_map(
-        _peakless_worker, (z.word for z in all_permutations(6))
-    )
-    minimal = sum(c for c, _ in results)
-    bad = sum(b for _, b in results)
-    return _result(
-        "peakless-binomials",
-        bad == 0,
-        f"{minimal} minimal zeta in S_6: chain census matches C(s-1, het-a)",
-        t0,
+    return 1, _first_failure(
+        f"zeta={zeta} u={u} k={k}",
+        (f"chain census {got} != C(s-1, het-a) {expect}", got == expect),
     )
 
 
-def check_degree_two_relations() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("peakless-binomials")
+def check_peakless_binomials():
+    words = (z.word for z in all_permutations(6))
+    minimal, failure = _sweep(_peakless_worker, words)
+    detail = f"{minimal} minimal zeta in S_6: chain census matches C(s-1, het-a)"
+    return failure, detail
+
+
+@_check("degree-two-relations")
+def check_degree_two_relations():
     table = relation_table()
     bad = [name for name, entry in table.items() if not entry["ok"]]
     words = sum(entry["words"] for entry in table.values())
-    detail = f"{words} two-letter words across {len(table)} relation clauses"
-    if bad:
-        detail += "; FAILED: " + ", ".join(bad)
-    return _result("degree-two-relations", not bad, detail, t0)
+    failure = f"relation clause {bad[0]}" if bad else None
+    return failure, f"{words} two-letter words across {len(table)} relation clauses"
 
 
 def _structural_paths(top: int):
@@ -424,34 +438,32 @@ def _structural_paths(top: int):
                 yield oriented[::-1]
 
 
-def _path_worker(letters: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+def _path_worker(letters: tuple[tuple[int, int], ...]) -> tuple[int, str | None]:
     word = OperatorWord.from_application(5, letters)
     if not is_path_word(word):
-        return 0, 1
+        return 0, f"{word}: not a path word"
     row, col = is_row(word), is_column(word)
     if is_zero_word(word):
-        return 0, 0 if not (row or col) else 1
-    ok = len(word.quantum_letters()) <= 1
-    if len(word) > 1:
-        ok = ok and (row != col)
-    else:
-        ok = ok and (row or col)
-    if word.quantum_letters():
-        ok = ok and yellow_window(word) != ()
-    return 1, 0 if ok else 1
+        return 0, _first_failure(
+            str(word), ("zero, yet a row or column", not (row or col))
+        )
+    quantum = word.quantum_letters()
+    return 1, _first_failure(
+        str(word),
+        ("more than one quantum letter", len(quantum) <= 1),
+        ("neither row nor column", row or col),
+        ("both row and column", len(word) == 1 or not (row and col)),
+        ("empty yellow window", not quantum or yellow_window(word) != ()),
+    )
 
 
-def check_quantum_paths() -> CheckResult:
-    t0 = time.perf_counter()
-    results = parallel_map(_path_worker, _structural_paths(5))
-    nonzero = sum(c for c, _ in results)
-    bad = sum(b for _, b in results)
-    return _result(
-        "quantum-paths",
-        bad == 0,
-        f"{len(results)} path words on <= 5 strands, {nonzero} nonzero:"
-        " <= 1 quantum letter, row xor column",
-        t0,
+@_check("quantum-paths")
+def check_quantum_paths():
+    cases = list(_structural_paths(5))
+    nonzero, failure = _sweep(_path_worker, cases)
+    return failure, (
+        f"{len(cases)} path words on <= 5 strands, {nonzero} nonzero:"
+        " <= 1 quantum letter, row xor column"
     )
 
 
@@ -492,7 +504,7 @@ def _random_forest_words(count: int, seed: int) -> list[tuple[int, tuple]]:
     return out
 
 
-def _forest_worker(case: tuple[int, tuple]) -> tuple[int, int]:
+def _forest_worker(case: tuple[int, tuple]) -> tuple[int, str | None]:
     n, letters = case
     word = OperatorWord(n, letters)
     witness = next(
@@ -505,34 +517,29 @@ def _forest_worker(case: tuple[int, tuple]) -> tuple[int, int]:
         None,
     )
     if witness is None:
-        return 0, 0
+        return 0, None
     u, k = witness
     row, col, shift = rc_decompose(word, u, k)
     together = OperatorWord(n, row.letters + col.letters)
-    ok = (
-        is_row(row)
-        and is_column(col)
-        and act(together, u, k) == act(word, u, k)
-        and o_shift_word(together, shift).is_classical()
+    return 1, _first_failure(
+        f"{word} in S_{n}[q] on u={u} k={k}",
+        (f"R = {row} is not a row", is_row(row)),
+        (f"C = {col} is not a column", is_column(col)),
+        ("R C acts differently", act(together, u, k) == act(word, u, k)),
+        ("R C stays quantum", o_shift_word(together, shift).is_classical()),
+        ("not equivalent to R C", n != 5 or equivalent_words(word, together)),
     )
-    if n == 5:
-        ok = ok and equivalent_words(word, together)
-    return 1, 0 if ok else 1
 
 
-def check_forest_decomposition() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("forest-decomposition")
+def check_forest_decomposition():
     cases = _random_forest_words(_FOREST_DRAWS, _SEED_FOREST)
-    results = parallel_map(_forest_worker, cases)
-    found = sum(c for c, _ in results)
-    bad = sum(b for _, b in results)
-    ok = bad == 0 and found >= _FOREST_TARGET
-    return _result(
-        "forest-decomposition",
-        ok,
+    found, failure = _sweep(_forest_worker, cases)
+    if failure is None and found < _FOREST_TARGET:
+        failure = f"{found} nonzero words, fewer than {_FOREST_TARGET}"
+    return failure, (
         f"{found} random nonzero forest words in S_5[q]/S_6[q] split into"
-        " row x column",
-        t0,
+        " row x column"
     )
 
 
@@ -563,7 +570,7 @@ def _random_interval_cases(count: int, seed: int) -> list[tuple]:
     return cases
 
 
-def _interval_worker(case: tuple) -> tuple[int, int]:
+def _interval_worker(case: tuple) -> tuple[int, str | None]:
     u_word, k, alpha, w_word = case
     u = Permutation(u_word)
     top = QElement(alpha, Permutation(w_word))
@@ -572,11 +579,11 @@ def _interval_worker(case: tuple) -> tuple[int, int]:
     src = q_interval(u, top, k)
 
     def transported_ok(bottom, new_top, new_k, send, reverse: bool) -> bool:
-        try:
+        try:  # a map that leaves the order fails here, not as a crash
             image = {z: send(z) for z in src.elements}
+            tgt = q_interval(bottom, new_top, new_k)
         except ValueError:
             return False
-        tgt = q_interval(bottom, new_top, new_k)
         if set(tgt.elements) != set(image.values()):
             return False
         height = src.rank_of[top]
@@ -591,54 +598,46 @@ def _interval_worker(case: tuple) -> tuple[int, int]:
                 return False
         return True
 
-    bad = 0
-    if not transported_ok(
-        cyclic_shift(n) * u,
-        o_shift_element(u, top),
-        k,
-        lambda z: o_shift_element(u, z),
-        False,
-    ):
-        bad += 1
-    if not transported_ok(
-        w0 * u * w0,
-        w0_element(top),
-        n - k,
-        w0_element,
-        False,
-    ):
-        bad += 1
-    if not transported_ok(
-        top.w * w0,
-        rho_element(top.alpha, QElement((0,) * (n - 1), u)),
-        n - k,
-        lambda z: rho_element(top.alpha, z),
-        True,
-    ):
-        bad += 1
-    return 1, bad
+    # (name, bottom, top, k, the map on elements, whether it reverses order)
+    transports = (
+        (
+            "shift",
+            cyclic_shift(n) * u,
+            o_shift_element(u, top),
+            k,
+            lambda z: o_shift_element(u, z),
+            False,
+        ),
+        ("w0", w0 * u * w0, w0_element(top), n - k, w0_element, False),
+        (
+            "complementation",
+            top.w * w0,
+            rho_element(top.alpha, QElement((0,) * (n - 1), u)),
+            n - k,
+            lambda z: rho_element(top.alpha, z),
+            True,
+        ),
+    )
+    return 1, _first_failure(
+        f"u={u} k={k} top={top}",
+        *((f"{name} transport fails", transported_ok(*t)) for name, *t in transports),
+    )
 
 
-def check_interval_equivalences() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("interval-equivalences")
+def check_interval_equivalences():
     cases = _random_interval_cases(_INTERVAL_TARGET, _SEED_INTERVALS)
-    results = parallel_map(_interval_worker, cases)
-    bad = sum(b for _, b in results)
-    return _result(
-        "interval-equivalences",
-        bad == 0,
+    _checked, failure = _sweep(_interval_worker, cases)
+    return failure, (
         f"{len(cases)} random intervals in S_5[q]: shift, w0 and"
-        " complementation transports are graded isomorphisms",
-        t0,
+        " complementation transports are graded isomorphisms"
     )
 
 
 def _independence_shapes(n: int, k: int, hooks_only: bool):
     for size in range(1, k * (n - k) + 1):
         for lam in partitions(size, max_part=n - k, max_parts=k):
-            if hooks_only and not (len(lam) <= 1 or all(p == 1 for p in lam[1:])):
-                continue
-            if fits_rectangle(lam, k, n - k):
+            if not hooks_only or is_hook(lam):
                 yield lam
 
 
@@ -658,21 +657,19 @@ def _independence_worker(args: tuple[int, tuple[int, ...]]) -> list:
     return rows
 
 
-def check_quantum_independence() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("quantum-independence")
+def check_quantum_independence():
     args = [(4, u.word) for u in all_permutations(4)]
     args += [(5, u.word) for u in all_permutations(5)]
     groups: dict[tuple, set[int]] = {}
     for rows in parallel_map(_independence_worker, args):
         for zeta, lam, c in rows:
             groups.setdefault((zeta, lam), set()).add(c)
-    bad = sum(1 for vals in groups.values() if len(vals) != 1)
-    return _result(
-        "quantum-independence",
-        bad == 0,
+    split = [key for key, vals in groups.items() if len(vals) != 1]
+    failure = f"(zeta, lam) = {split[0]}: numerical parts differ" if split else None
+    return failure, (
         f"{len(groups)} (zeta, shape) classes over S_4 (all shapes) and S_5"
-        " (hooks): numerical parts depend only on the class",
-        t0,
+        " (hooks): numerical parts depend only on the class"
     )
 
 
@@ -745,34 +742,16 @@ def figures_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_figures() -> CheckResult:
-    t0 = time.perf_counter()
-    ok = figures_text() == fixture_text("figures")
-    return _result(
-        "figures",
-        ok,
+@_check("figures")
+def check_figures():
+    failure = _first_failure("figures", _matches_fixture("figures"))
+    return failure, (
         "two classical intervals, the quantum layer table and four quantum"
-        " intervals match the bundled drawings",
-        t0,
+        " intervals match the bundled drawings"
     )
 
 
 # -- registry ---------------------------------------------------------------------
-
-CHECKS: dict[str, Callable[[], CheckResult]] = {
-    "q-monk": check_q_monk,
-    "mn-example": check_mn_example,
-    "q-minimal": check_q_minimal,
-    "classical-oracles": check_classical_oracles,
-    "quantum-oracles": check_quantum_oracles,
-    "peakless-binomials": check_peakless_binomials,
-    "degree-two-relations": check_degree_two_relations,
-    "quantum-paths": check_quantum_paths,
-    "forest-decomposition": check_forest_decomposition,
-    "interval-equivalences": check_interval_equivalences,
-    "quantum-independence": check_quantum_independence,
-    "figures": check_figures,
-}
 
 GROUPS: dict[str, tuple[str, ...]] = {
     "properties": (

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from flagmn import verification
 from flagmn.cli import main
+from flagmn.schubert import Expansion
 from flagmn.verification import fixture_text
 
 
@@ -26,6 +28,11 @@ def test_identity_hook_product_infers_ambient(capsys):
     code, out, _ = run(capsys, "product", "--u", "e", "--k", "1", "--hook", "1,1")
     assert code == 0
     assert out == "+1 21\n"
+
+
+def test_comma_separated_u_infers_the_same_ambient(capsys):
+    args = ("product", "--k", "1", "--hook", "1,1")
+    assert run(capsys, *args, "--u", "2,1,3") == run(capsys, *args, "--u", "213")
 
 
 def test_quantum_bases_agree(capsys):
@@ -114,6 +121,14 @@ def test_operators_zero_action_prints_zero(capsys):
     assert out.rstrip().endswith(": 0")
 
 
+def test_operators_n_smaller_than_u_is_a_usage_error(capsys):
+    code, _, err = run(
+        capsys, "operators", "--word", "v(1,2)", "--n", "3", "--u", "1432", "--k", "1"
+    )
+    assert code == 2
+    assert err == "usage error: --n 3 is too small for --u 1432 in S_4\n"
+
+
 def test_reproduce_matches_fixture(capsys):
     code, out, err = run(capsys, "reproduce", "q-monk")
     assert code == 0
@@ -125,6 +140,17 @@ def test_verify_single_check(capsys):
     code, out, _ = run(capsys, "verify", "q-monk")
     assert code == 0
     assert out.splitlines()[-1] == "all 1 checks passed"
+
+
+def test_failing_check_names_its_first_failure(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "fgp_product", lambda u, lam, k: Expansion(u.n))
+    code, out, _ = run(capsys, "verify", "q-monk")
+    assert code == 1
+    fail = out.splitlines()[0]
+    assert fail.startswith("FAIL q-monk: ")
+    assert fail.endswith(
+        "; first failure: u=1432 k=2 class=s1: cover rule != fgp-oracle"
+    )
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,8 @@ def test_cover_transposition():
     assert cover_transposition(u, w, 3) is None
     assert cover_transposition(u, u, 5) is None
     assert cover_transposition(w, u, 5) is None
+    with pytest.raises(ValueError):
+        cover_transposition(u, w, 8)
 
 
 def brute_bruhat_leq(x, w):
