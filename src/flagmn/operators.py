@@ -17,17 +17,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
 from .perm import Permutation, all_permutations, cyclic_shift, flatten, identity
-from .qbruhat import QElement, q_chains, q_ij
+from .qbruhat import QElement, q_chains
 
 __all__ = [
     "OperatorWord",
     "parse_word",
-    "act_letter",
     "act",
+    "first_witness",
     "flatten_word",
     "is_zero_word",
     "equivalent_words",
@@ -149,29 +149,42 @@ def parse_word(text: str, n: int) -> OperatorWord:
 # the k-action
 
 
-def act_letter(x: QElement, a: int, b: int, k: int) -> QElement | None:
-    """One letter of the k-action on q^alpha u; None is the zero outcome.
+def _act_word(
+    app: Sequence[tuple[int, int]], word: Sequence[int], k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The k-action on a one-line word: None, or (alpha increments, word).
 
-    Writing i, j for the positions of a, b in u, the letter acts only when
-    i <= k < j and the swap is a cover: no value between a and b may sit
-    strictly between i and j in the classical case a < b, and every such
-    value must lie strictly between b and a in the quantum case a > b, which
-    also multiplies by q_{i,j}.
+    ``app`` lists the letters in application order.  Writing i, j for the
+    positions of a, b, a letter acts only when i <= k < j and the swap is a
+    cover: no value between a and b may sit strictly between i and j in the
+    classical case a < b, and every such value must lie strictly between b
+    and a in the quantum case a > b, which also adds q_{i,j}.  Nothing is
+    validated or built until the end; ``act`` is the public entry.
     """
-    u = x.w
-    i = u.position(a)
-    j = u.position(b)
-    if not i <= k < j:
-        return None
-    between = u.word[i : j - 1]
-    if a < b:
-        if any(a < m < b for m in between):
+    w = list(word)
+    n = len(w)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(w, 1):
+        pos[v] = i
+    inc = [0] * (n - 1)
+    for a, b in app:
+        i = pos[a]
+        j = pos[b]
+        if not i <= k < j:
             return None
-        return QElement(x.alpha, u.swap_positions(i, j))
-    if any(not b < m < a for m in between):
-        return None
-    alpha = tuple(e + d for e, d in zip(x.alpha, q_ij(i, j, u.n)))
-    return QElement(alpha, u.swap_positions(i, j))
+        if a < b:
+            for m in w[i : j - 1]:
+                if a < m < b:
+                    return None
+        else:
+            for m in w[i : j - 1]:
+                if not b < m < a:
+                    return None
+            for wall in range(i - 1, j - 1):
+                inc[wall] += 1
+        w[i - 1], w[j - 1] = b, a
+        pos[a], pos[b] = j, i
+    return tuple(inc), tuple(w)
 
 
 def act(
@@ -182,20 +195,59 @@ def act(
     Zero is absorbing and the q-parts of quantum letters accumulate onto
     whatever exponent u already carries.
     """
-    x = u if isinstance(u, QElement) else QElement((0,) * (u.n - 1), u)
-    if word.n != x.w.n:
-        raise ValueError(f"word over 1..{word.n} cannot act on S_{x.w.n}")
-    if not 1 <= k <= x.w.n - 1:
-        raise ValueError(f"k must be in 1..{x.w.n - 1}, got {k}")
-    for a, b in word.application_order:
-        x = act_letter(x, a, b, k)
-        if x is None:
-            return None
-    return x
+    if isinstance(u, QElement):
+        alpha, u = u.alpha, u.w
+    else:
+        alpha = (0,) * (u.n - 1)
+    if word.n != u.n:
+        raise ValueError(f"word over 1..{word.n} cannot act on S_{u.n}")
+    if not 1 <= k <= u.n - 1:
+        raise ValueError(f"k must be in 1..{u.n - 1}, got {k}")
+    out = _act_word(word.application_order, u.word, k)
+    if out is None:
+        return None
+    inc, image = out
+    return QElement(
+        tuple(e + d for e, d in zip(alpha, inc)), Permutation(image)
+    )
 
 
 # ---------------------------------------------------------------------------
 # zero-equivalence and (u,k)-equivalence, decided semantically
+
+
+def _nonzero_outcomes(word: OperatorWord) -> Iterator[tuple]:
+    """(u, k, outcome) for every nonzero kernel outcome of the word.
+
+    u runs over S_n as one-line tuples in lexicographic order, then k upward.
+    Only k in pos(a) .. pos(b)-1 can pass the first-applied letter (a, b),
+    so every other k is skipped.
+    """
+    app = word.application_order
+    for u in itertools.permutations(range(1, word.n + 1)):
+        if app:
+            a, b = app[0]
+            ks = range(u.index(a) + 1, u.index(b) + 1)
+        else:
+            ks = range(1, word.n)
+        for k in ks:
+            out = _act_word(app, u, k)
+            if out is not None:
+                yield u, k, out
+
+
+def first_witness(word: OperatorWord) -> tuple[Permutation, int] | None:
+    """The lexicographically first (u, k) the word acts nonzero on, if any.
+
+    >>> u, k = first_witness(parse_word("v(2,3) v(1,2)", 3))
+    >>> str(u), k
+    ('123', 1)
+    >>> first_witness(parse_word("v(1,3) v(2,4)", 4)) is None
+    True
+    """
+    for u, k, _ in _nonzero_outcomes(word):
+        return Permutation(u), k
+    return None
 
 
 def flatten_word(word: OperatorWord) -> OperatorWord:
@@ -213,11 +265,7 @@ def flatten_word(word: OperatorWord) -> OperatorWord:
 
 @lru_cache(maxsize=None)
 def _flat_is_zero(flat: OperatorWord) -> bool:
-    for u in all_permutations(flat.n):
-        for k in range(1, flat.n):
-            if act(flat, u, k) is not None:
-                return False
-    return True
+    return first_witness(flat) is None
 
 
 def is_zero_word(word: OperatorWord) -> bool:
@@ -239,11 +287,8 @@ def equivalent_words(v: OperatorWord, w: OperatorWord) -> bool:
     """
     if v.n != w.n:
         raise ValueError(f"ambient mismatch: 1..{v.n} vs 1..{w.n}")
-    for u in all_permutations(v.n):
-        for k in range(1, v.n):
-            if act(v, u, k) != act(w, u, k):
-                return False
-    return True
+    pairs = itertools.zip_longest(_nonzero_outcomes(v), _nonzero_outcomes(w))
+    return all(x == y for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,21 @@ def test_failing_check_names_its_first_failure(capsys, monkeypatch):
     )
 
 
+def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
+    def broken(u, lam, k):
+        raise ValueError("broken route")
+
+    monkeypatch.setattr(verification, "fgp_product", broken)
+    code, out, err = run(capsys, "verify", "q-monk", "mn-example")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL q-monk: ")
+    assert lines[0].endswith("; first failure: raised ValueError: broken route")
+    assert lines[1].startswith("ok mn-example: ")
+    assert lines[-1] == "1 of 2 checks FAILED"
+    assert "usage error" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

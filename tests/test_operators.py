@@ -16,6 +16,7 @@ from flagmn.operators import (
     drop_position,
     drop_wall,
     equivalent_words,
+    first_witness,
     flatten_word,
     has_crossing_components,
     insert_value,
@@ -164,6 +165,36 @@ def test_action_accumulates_exponents():
     assert act(w, x, 3) == qe("q^(1,1,1,0) 13452", 5)
 
 
+def test_action_is_a_walk_up_the_quantum_covers():
+    # independent reference: each letter (a, b) takes the cover labeled a
+    # that swaps the values a and b, or gives zero when there is none
+    letters = list(itertools.permutations(range(1, 5), 2))
+    covers = {}
+
+    def step(x, a, b, k):
+        if (x, k) not in covers:
+            covers[x, k] = q_up_covers(x, k)
+        target = x.w.swap_values(a, b)
+        return next(
+            (y for lab, y in covers[x, k] if lab == a and y.w == target), None
+        )
+
+    cases = 0
+    for size in (1, 2, 3):
+        for app in itertools.product(letters, repeat=size):
+            word = OperatorWord.from_application(4, app)
+            for u in all_permutations(4):
+                for k in (1, 2, 3):
+                    x = QElement((0, 0, 0), u)
+                    for a, b in app:
+                        x = step(x, a, b, k)
+                        if x is None:
+                            break
+                    assert act(word, u, k) == x, (str(word), str(u), k)
+                    cases += 1
+    assert cases == 135648
+
+
 def test_action_validation():
     w = W("v(2,3)", 3)
     with pytest.raises(ValueError):
@@ -235,6 +266,9 @@ def test_equivalent_words():
         OperatorWord(4, ((1, 2), (1, 2))), OperatorWord(4, ((1, 3), (2, 4)))
     )
     assert not equivalent_words(W("v(2,3) v(1,2)", 3), W("v(1,2) v(2,3)", 3))
+    # a zero word is not equivalent to one acting somewhere
+    assert not equivalent_words(OperatorWord(4, ((1, 3), (2, 4))), W("v(1,2)", 4))
+    assert first_witness(OperatorWord(4, ((1, 3), (2, 4)))) is None
     with pytest.raises(ValueError):
         equivalent_words(W("v(1,2)", 3), W("v(1,2)", 4))
 
@@ -722,6 +756,7 @@ def test_rc_decompose_random_forests():
             ),
             None,
         )
+        assert first_witness(word) == witness
         if witness is None:
             continue
         done += 1
