@@ -187,7 +187,7 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("verify", "--n", "6"),
         ("operators", "--word", "v(1,2)", "--n", "3", "--k", "1"),
         ("product", "--u", "1432", "--n", "3", "--k", "1", "--class", "s1"),
-        ("product", "--quantum", "--u", "1234567", "--k", "1", "--lambda", "1"),
+        ("product", "--quantum", "--u", "12345678", "--k", "1", "--lambda", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,8 @@ from flagmn.qschubert import (
     QLRQuery,
     QPoly,
     SignedQMonomial,
+    _elementary_poly,
+    _standard_solver,
     fgp_product,
     ll_reduce_step,
     o_shift_element,
@@ -40,6 +43,7 @@ from flagmn.qschubert import (
 from flagmn.schubert import (
     Expansion,
     Poly,
+    _trim,
     hook_multiply_minimal,
     monk_multiply,
     powersum_multiply,
@@ -277,6 +281,79 @@ def test_quantize_rejects_monomials_outside_staircase():
         quantize(Poly({(0, 0, 1): 1}), 3)  # x_3 alone is already out (a_3 <= 0)
 
 
+def test_quantize_rejects_degrees_above_the_top_block():
+    with pytest.raises(ValueError):
+        quantize(Poly({(4,): 1}), 3)  # degree 4 > n(n-1)/2 = 3: no block
+
+
+def test_quantize_splits_mixed_degrees():
+    p1 = Poly.x(1) + Poly.x(3) * 2
+    p2 = schur_poly((1, 1), 3)
+    p3 = schur_poly((2, 1), 2)
+    assert quantize(p2, 4).classical_part() != quantize(p2, 4)  # q appears
+    assert quantize(p1 + p2 + p3, 4) == (
+        quantize(p1, 4) + quantize(p2, 4) + quantize(p3, 4)
+    )
+
+
+def _full_fraction_inverse(n):
+    """The whole n! x n! change of basis inverted over QQ, ignoring degrees.
+
+    An independent reference for the degree blocks: maps (elementary-monomial
+    tuple, staircase monomial) to the entry of the inverse.
+    """
+    monos = sorted(
+        _trim(e)
+        for e in itertools.product(*(range(n - j + 1) for j in range(1, n + 1)))
+    )
+    index = {e: t for t, e in enumerate(monos)}
+    basis = list(itertools.product(*(range(j + 1) for j in range(1, n))))
+    dim = len(monos)
+    cols = []
+    for tup in basis:
+        p = Poly.one()
+        for j, i_j in enumerate(tup, start=1):
+            if i_j:
+                p = p * _elementary_poly(i_j, j)
+        col = [0] * dim
+        for xe, c in p.terms.items():
+            col[index[xe]] = c
+        cols.append(col)
+    a = [
+        [Fraction(cols[b][m]) for b in range(dim)]
+        + [Fraction(1 if b == m else 0) for b in range(dim)]
+        for m in range(dim)
+    ]
+    for col in range(dim):
+        piv = next(r for r in range(col, dim) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(dim):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
+    return {
+        (tup, xe): a[b][dim + m]
+        for b, tup in enumerate(basis)
+        for m, xe in enumerate(monos)
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_degree_blocks_match_the_full_inverse(n):
+    full = _full_fraction_inverse(n)
+    index, blocks = _standard_solver(n)
+    seen = set()
+    for xe, (d, m) in index.items():
+        basis, inverse = blocks[d]
+        for tup, row in zip(basis, inverse):
+            assert row.get(m, 0) == full[tup, xe]
+            seen.add((tup, xe))
+    assert all(v == 0 for key, v in full.items() if key not in seen)
+    assert all(sum(tup) != sum(xe) for tup, xe in full.keys() - seen)
+
+
 def test_quantum_schur_validates_shape():
     with pytest.raises(ValueError):
         quantum_schur((3,), 2, 4)
@@ -295,10 +372,10 @@ def test_fgp_reproduces_quantum_monk_s4():
         fgp_product(u, (1,), 2, 3)
 
 
-def test_fgp_refuses_s7_before_building_the_change_of_basis():
-    # the 5040 x 5040 inversion at n = 7 would never finish
-    with pytest.raises(ValueError, match="stops at S_6"):
-        fgp_product(identity(7), (1,), 1)
+def test_fgp_refuses_s8_before_building_the_change_of_basis():
+    # the 3836 x 3836 middle degree blocks at n = 8 are out of reach
+    with pytest.raises(ValueError, match="stops at S_7"):
+        fgp_product(identity(8), (1,), 1)
 
 
 def test_q_hook_validates_arguments():
