@@ -150,16 +150,19 @@ def parse_word(text: str, n: int) -> OperatorWord:
 
 
 def _act_word(
-    app: Sequence[tuple[int, int]], word: Sequence[int], k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The k-action on a one-line word: None, or (alpha increments, word).
+    app: Sequence[tuple[int, int]], word: Sequence[int]
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
+    """The action on a one-line word at every k: None, or (lo, hi, inc, image).
 
     ``app`` lists the letters in application order.  Writing i, j for the
     positions of a, b, a letter acts only when i <= k < j and the swap is a
     cover: no value between a and b may sit strictly between i and j in the
     classical case a < b, and every such value must lie strictly between b
-    and a in the quantum case a > b, which also adds q_{i,j}.  Nothing is
-    validated or built until the end; ``act`` is the public entry.
+    and a in the quantum case a > b, which also adds q_{i,j}.  Only the test
+    on k reads k, so the word acts exactly at lo <= k < hi, lo the largest i
+    and hi the smallest j, with the same alpha increments ``inc`` and the
+    same ``image`` at each such k.  Nothing is validated or built until the
+    end; ``act`` is the public entry.
     """
     w = list(word)
     n = len(w)
@@ -167,10 +170,15 @@ def _act_word(
     for i, v in enumerate(w, 1):
         pos[v] = i
     inc = [0] * (n - 1)
+    lo, hi = 1, n
     for a, b in app:
         i = pos[a]
         j = pos[b]
-        if not i <= k < j:
+        if i > lo:
+            lo = i
+        if j < hi:
+            hi = j
+        if lo >= hi:
             return None
         if a < b:
             for m in w[i : j - 1]:
@@ -184,7 +192,7 @@ def _act_word(
                 inc[wall] += 1
         w[i - 1], w[j - 1] = b, a
         pos[a], pos[b] = j, i
-    return tuple(inc), tuple(w)
+    return lo, hi, tuple(inc), tuple(w)
 
 
 def act(
@@ -193,7 +201,8 @@ def act(
     """Apply the word to u, rightmost letter first; None means zero.
 
     Zero is absorbing and the q-parts of quantum letters accumulate onto
-    whatever exponent u already carries.
+    whatever exponent u already carries.  The kernel gives the range
+    lo <= k < hi where the word acts on u, and one outcome for all of it.
     """
     if isinstance(u, QElement):
         alpha, u = u.alpha, u.w
@@ -203,10 +212,10 @@ def act(
         raise ValueError(f"word over 1..{word.n} cannot act on S_{u.n}")
     if not 1 <= k <= u.n - 1:
         raise ValueError(f"k must be in 1..{u.n - 1}, got {k}")
-    out = _act_word(word.application_order, u.word, k)
-    if out is None:
+    out = _act_word(word.application_order, u.word)
+    if out is None or not out[0] <= k < out[1]:
         return None
-    inc, image = out
+    inc, image = out[2:]
     return QElement(
         tuple(e + d for e, d in zip(alpha, inc)), Permutation(image)
     )
@@ -217,23 +226,22 @@ def act(
 
 
 def _nonzero_outcomes(word: OperatorWord) -> Iterator[tuple]:
-    """(u, k, outcome) for every nonzero kernel outcome of the word.
+    """(u, k, (inc, image)) for every nonzero kernel outcome of the word.
 
-    u runs over S_n as one-line tuples in lexicographic order, then k upward.
-    Only k in pos(a) .. pos(b)-1 can pass the first-applied letter (a, b),
-    so every other k is skipped.
+    u runs over S_n as one-line tuples in lexicographic order, then k upward
+    through the kernel's range lo <= k < hi.  A u with b before a, for the
+    first-applied letter (a, b), has an empty range and is skipped unrun.
     """
     app = word.application_order
+    a, b = app[0] if app else (None, None)
     for u in itertools.permutations(range(1, word.n + 1)):
-        if app:
-            a, b = app[0]
-            ks = range(u.index(a) + 1, u.index(b) + 1)
-        else:
-            ks = range(1, word.n)
-        for k in ks:
-            out = _act_word(app, u, k)
-            if out is not None:
-                yield u, k, out
+        if app and u.index(a) > u.index(b):
+            continue
+        out = _act_word(app, u)
+        if out is not None:
+            lo, hi, inc, image = out
+            for k in range(lo, hi):
+                yield u, k, (inc, image)
 
 
 def first_witness(word: OperatorWord) -> tuple[Permutation, int] | None:
@@ -433,13 +441,16 @@ def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
     return tuple(OperatorWord(word.n, tuple(ls)) for ls in ordered)
 
 
-def has_crossing_components(word: OperatorWord) -> bool:
-    """Whether two connected components have crossing supports."""
-    comps = word_components(word)
+def _components_cross(comps: Sequence[OperatorWord]) -> bool:
     return any(
         crossing(c.support(), d.support())
         for c, d in itertools.combinations(comps, 2)
     )
+
+
+def has_crossing_components(word: OperatorWord) -> bool:
+    """Whether two connected components have crossing supports."""
+    return _components_cross(word_components(word))
 
 
 def is_tree_word(word: OperatorWord) -> bool:
@@ -461,7 +472,7 @@ def is_forest_word(word: OperatorWord) -> bool:
     comps = word_components(word)
     if any(len(c.letters) != len(c.support()) - 1 for c in comps):
         return False
-    return not has_crossing_components(word)
+    return not _components_cross(comps)
 
 
 def is_path_word(word: OperatorWord) -> bool:
@@ -484,19 +495,17 @@ def is_path_word(word: OperatorWord) -> bool:
     return bool(set(app[0]) & ends)
 
 
-def _chain_linked_row(app: Sequence[tuple[int, int]]) -> bool:
-    # connected classical row in application order: (a1,a2),(a2,a3),...,(ar,br)
-    return all(a < b for a, b in app) and all(
-        nxt[0] == prev[1] for prev, nxt in zip(app, app[1:])
-    )
+def _chain_linked(app: Sequence[tuple[int, int]]) -> bool:
+    # a chain in application order: (a1,a2),(a2,a3),...,(ar,br)
+    return all(nxt[0] == prev[1] for prev, nxt in zip(app, app[1:]))
 
 
 def _is_classical_row(word: OperatorWord) -> bool:
-    if has_crossing_components(word):
+    if not word.is_classical():
         return False
-    return all(
-        _chain_linked_row(c.application_order) for c in word_components(word)
-    )
+    comps = word_components(word)
+    linked = all(_chain_linked(c.application_order) for c in comps)
+    return linked and not _components_cross(comps)
 
 
 def row_shift(word: OperatorWord) -> int | None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flagmn.kbruhat import Chain, crossing
 from flagmn.operators import (
     OperatorWord,
+    _nonzero_outcomes,
     act,
     chain_word,
     chains_word_bijection,
@@ -193,6 +194,45 @@ def test_action_is_a_walk_up_the_quantum_covers():
                     assert act(word, u, k) == x, (str(word), str(u), k)
                     cases += 1
     assert cases == 135648
+
+
+def test_nonzero_outcomes_are_the_k_ranges_of_a_cover_walk():
+    # the kernel's lo <= k < hi range against the walk up q_up_covers of
+    # test_action_is_a_walk_up_the_quantum_covers, run at each k separately
+    letters = list(itertools.permutations(range(1, 5), 2))
+    covers = {}
+
+    def walk(app, u, k):
+        x = QElement((0, 0, 0), u)
+        for a, b in app:
+            if (x, k) not in covers:
+                covers[x, k] = q_up_covers(x, k)
+            target = x.w.swap_values(a, b)
+            x = next(
+                (y for lab, y in covers[x, k] if lab == a and y.w == target),
+                None,
+            )
+            if x is None:
+                return None
+        return x
+
+    words = 0
+    for size in (0, 1, 2, 3):
+        for app in itertools.product(letters, repeat=size):
+            word = OperatorWord.from_application(4, app)
+            want = []
+            for u in all_permutations(4):  # lexicographic, then k upward
+                for k in (1, 2, 3):
+                    x = walk(app, u, k)
+                    if x is not None:
+                        want.append((u.word, k, (x.alpha, x.w.word)))
+            assert list(_nonzero_outcomes(word)) == want, str(word)
+            first = (Permutation(want[0][0]), want[0][1]) if want else None
+            assert first_witness(word) == first, str(word)
+            if not app:  # the empty word acts at every k
+                assert len(want) == 24 * 3
+            words += 1
+    assert words == 1 + 12 + 12**2 + 12**3
 
 
 def test_action_validation():

@@ -28,6 +28,19 @@ def test_sweep_keeps_the_first_failure_in_input_order():
     assert verification._sweep(worker, [0, 2]) == (2, None)
 
 
+def test_sweep_runs_each_distinct_case_once(monkeypatch):
+    monkeypatch.delenv("FLAGMN_THREADS", raising=False)
+    calls = []
+
+    def worker(case):
+        calls.append(case)
+        return case, f"case {case}" if case < 3 else None
+
+    # 1 fails at its first and its last draw, 2 fails once in between
+    assert verification._sweep(worker, [3, 1, 3, 2, 1]) == (10, "case 1")
+    assert calls == [3, 1, 2]
+
+
 def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
     assert verification._classical_oracle_worker((2, 1, 3)) == (4, None)
     real = verification.hook_multiply_minimal
