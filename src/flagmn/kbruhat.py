@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perm import Permutation, flatten_cycles, het, identity
+from .perm import Permutation, _swapped, flatten_cycles, het, identity
 
 __all__ = [
     "up_covers",
@@ -47,6 +47,24 @@ __all__ = [
 ]
 
 
+def _cover_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
+    """The 0-based (i, l) of every k-Bruhat cover word -> word t_il.
+
+    The cover rule, stated once (see the module docstring).
+    """
+    n = len(word)
+    for i in range(k):
+        a = word[i]
+        # smallest value above a seen strictly between the swap positions
+        bound = n + 1
+        for l in range(i + 1, n):
+            v = word[l]
+            if a < v < bound:
+                if l >= k:
+                    yield i, l
+                bound = v
+
+
 def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
     """All covers u -> w in the k-Bruhat order, as (label, w) pairs.
 
@@ -59,20 +77,10 @@ def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
     n = len(word)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    out: list[tuple[int, Permutation]] = []
-    for i in range(k):
-        a = word[i]
-        # smallest value above a seen strictly between the swap positions
-        bound = n + 1
-        for l in range(i + 1, n):
-            v = word[l]
-            if v <= a:
-                continue
-            if l >= k and v < bound:
-                out.append((a, u.swap_positions(i + 1, l + 1)))
-            if v < bound:
-                bound = v
-    return out
+    return [
+        (word[i], Permutation._trusted(_swapped(word, i, l)))
+        for i, l in _cover_swaps(word, k)
+    ]
 
 
 def cover_transposition(
@@ -402,11 +410,12 @@ def peakless_count(zeta: Permutation, a: int) -> int:
     Equal to C(s - 1, het - a) with s the number of nontrivial cycles of zeta;
     zero when a is out of range.
     """
-    s = zeta.num_cycles()
-    h = het(zeta)
-    if s == 0:
-        return 0
-    if not 0 <= h - a <= s - 1:
+    return _peakless_binomial(zeta.num_cycles(), het(zeta), a)
+
+
+def _peakless_binomial(s: int, h: int, a: int) -> int:
+    # C(s - 1, h - a), or 0 outside 0 <= h - a <= s - 1
+    if s == 0 or not 0 <= h - a <= s - 1:
         return 0
     return math.comb(s - 1, h - a)
 

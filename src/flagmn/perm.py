@@ -67,6 +67,14 @@ class Permutation:
         self._length: int | None = None
         self._inverse_word: tuple[int, ...] | None = None
 
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a permutation, without the check."""
+        self = object.__new__(cls)
+        self.word, self._hash = word, hash(word)
+        self._length = self._inverse_word = None
+        return self
+
     # -- basic protocol ----------------------------------------------------
 
     @property
@@ -107,10 +115,10 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("size mismatch; extend() first")
         w = self.word
-        return Permutation(tuple(w[v - 1] for v in other.word))
+        return Permutation._trusted(tuple(w[v - 1] for v in other.word))
 
     def inverse(self) -> "Permutation":
-        return Permutation(self._inv_word())
+        return Permutation._trusted(self._inv_word())
 
     def _inv_word(self) -> tuple[int, ...]:
         if self._inverse_word is None:
@@ -125,9 +133,7 @@ class Permutation:
         return self._inv_word()[value - 1]
 
     def swap_positions(self, i: int, j: int) -> "Permutation":
-        w = list(self.word)
-        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-        return Permutation(tuple(w))
+        return Permutation._trusted(_swapped(self.word, i - 1, j - 1))
 
     def swap_values(self, a: int, b: int) -> "Permutation":
         return Permutation(
@@ -217,6 +223,13 @@ class Permutation:
         while m > 1 and w[m - 1] == m:
             m -= 1
         return self if m == len(w) else Permutation(w[:m])
+
+
+def _swapped(word: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
+    """``word`` with the 0-based positions i and l exchanged."""
+    w = list(word)
+    w[i], w[l] = w[l], w[i]
+    return tuple(w)
 
 
 def identity(n: int) -> Permutation:

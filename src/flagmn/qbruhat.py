@@ -29,7 +29,7 @@ from .kbruhat import (
     poset_chains,
     up_covers,
 )
-from .perm import Permutation, parse_permutation
+from .perm import Permutation, _swapped, parse_permutation
 
 __all__ = [
     "QElement",
@@ -79,6 +79,13 @@ class QElement:
         self.w = w
         self._hash = hash((alpha, w.word))
 
+    @classmethod
+    def _trusted(cls, alpha: tuple[int, ...], w: Permutation) -> "QElement":
+        """q^alpha w from a tuple already known to fit w, without the checks."""
+        self = object.__new__(cls)
+        self.alpha, self.w, self._hash = alpha, w, hash((alpha, w.word))
+        return self
+
     @property
     def rank(self) -> int:
         return 2 * sum(self.alpha) + self.w.length
@@ -113,6 +120,32 @@ class QElement:
         return f"QElement({self.alpha!r}, {self.w!r})"
 
 
+def _quantum_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
+    """The 0-based (i, l) of every quantum k-cover word -> q_{i+1,l+1} word t_il.
+
+    The quantum cover rule, stated once (see the module docstring).
+    """
+    n = len(word)
+    for i in range(k):
+        a = word[i]
+        low = n + 1  # smallest value seen since position i
+        for l in range(i + 1, n):
+            v = word[l]
+            if v > a:
+                break  # a value above word[i] blocks every further swap
+            if v < low:
+                if l >= k:
+                    yield i, l
+                low = v
+
+
+def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
+    """alpha times q_{i+1,l+1}: one more q on each of the walls i+1..l."""
+    out = list(alpha)
+    out[i:l] = [a + 1 for a in alpha[i:l]]
+    return tuple(out)
+
+
 def quantum_up_covers(
     u: Permutation, k: int
 ) -> list[tuple[int, tuple[int, int], Permutation]]:
@@ -125,31 +158,17 @@ def quantum_up_covers(
     n = len(word)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    out: list[tuple[int, tuple[int, int], Permutation]] = []
-    for i in range(k):
-        a = word[i]
-        min_mid = n + 1
-        for l in range(i + 1, n):
-            v = word[l]
-            if v > a:
-                break  # a value above u(i) blocks every further swap
-            if l >= k and v < min_mid:
-                out.append((a, (i + 1, l + 1), u.swap_positions(i + 1, l + 1)))
-            if v < min_mid:
-                min_mid = v
-    return out
+    return [
+        (word[i], (i + 1, l + 1), Permutation._trusted(_swapped(word, i, l)))
+        for i, l in _quantum_swaps(word, k)
+    ]
 
 
 def q_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
     """All covers of x in the quantum k-Bruhat order, as (label, element) pairs."""
-    u = x.w
-    n = u.n
-    out = [(lab, QElement(x.alpha, w)) for lab, w in up_covers(u, k)]
-    for lab, (i, j), w in quantum_up_covers(u, k):
-        alpha = tuple(
-            a + b for a, b in zip(x.alpha, q_ij(i, j, n))
-        )
-        out.append((lab, QElement(alpha, w)))
+    out = [(lab, QElement._trusted(x.alpha, w)) for lab, w in up_covers(x.w, k)]
+    for lab, (i, j), w in quantum_up_covers(x.w, k):
+        out.append((lab, QElement._trusted(_raised(x.alpha, i - 1, j - 1), w)))
     return out
 
 

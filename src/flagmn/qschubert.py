@@ -1,7 +1,7 @@
 """Products of Schubert classes in the quantum cohomology of the flag manifold.
 
 The quantum products run on the engine they share with the classical ones
-(see ``schubert``), driven by the quantum cover function ``q_up_covers``:
+(see ``schubert``), with its quantum edges switched on:
 
 - ``q_monk_multiply`` / ``q_x_times``: the degree-one products, which
   determine the ring structure;
@@ -39,17 +39,16 @@ from .qbruhat import QElement, q_up_covers
 from .schubert import (
     Expansion,
     Poly,
+    _apply_x,
     _check_hook_args,
     _check_k,
     _check_powersum_args,
     _hook_coefficient,
     _minimal_rule,
-    _monk_terms,
     _operator_sum,
     _padded_sum,
     _powersum_coefficient,
     _trim,
-    _x_times,
     schur_multiply,
     schur_poly,
 )
@@ -274,12 +273,13 @@ def q_monk_multiply(exp: Expansion | QElement | Permutation, k: int) -> Expansio
     """The quantum product by S_{(k,k+1)}, extended ZZ[q]-linearly."""
     exp = _as_expansion(exp)
     _check_k(exp.n, k)
-    return exp.apply(lambda x: _monk_terms(x, k, q_up_covers))
+    covers = [(y, c) for x, c in exp.terms.items() for _lab, y in q_up_covers(x, k)]
+    return Expansion(exp.n, covers)
 
 
 def q_x_times(exp: Expansion, m: int) -> Expansion:
     """Multiplication by x_m in qH*Fl_n (monk at m minus monk at m - 1)."""
-    return _x_times(exp, m, q_up_covers)
+    return _apply_x(exp, m, True)
 
 
 def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
@@ -290,15 +290,13 @@ def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
     a + b - 1.
     """
     _check_hook_args(u, a, b, k)
-    bottom = QElement((0,) * (u.n - 1), u)
-    return _minimal_rule(bottom, k, a + b - 1, q_up_covers, _hook_coefficient(a))
+    return _minimal_rule(u, k, a + b - 1, True, _hook_coefficient(a))
 
 
 def q_powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:
     """S_u * p^q_r(x_1..x_k): signed sum over minimal single-cycle intervals."""
     _check_powersum_args(u, r, k)
-    bottom = QElement((0,) * (u.n - 1), u)
-    return _minimal_rule(bottom, k, r, q_up_covers, _powersum_coefficient)
+    return _minimal_rule(u, k, r, True, _powersum_coefficient)
 
 
 # -- the quantization oracle ----------------------------------------------------
@@ -572,7 +570,7 @@ def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
 def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u * s^q_lam(x_1..x_k) through iterated x_m-operators (the FGP route)."""
     monomials = quantum_schur(tuple(lam), k, u.n).monomials()
-    return _operator_sum(u, monomials, q_x_times)
+    return _operator_sum(u, monomials, True)
 
 
 def fgp_product(

@@ -1,11 +1,11 @@
 """Schubert polynomials and products in the cohomology of the flag manifold.
 
-The classical and the quantum products share one engine, written once here:
-rank-r reachability, the minimal-interval rule, the x_m operator and the
-Schur loop over monomials take their ring's cover function (``up_covers``
-here, ``q_up_covers`` in ``qschubert``).  A classical product is the
-alpha = 0 part of its quantum product; the classical ring keeps its
-permutation frontier and never walks a quantum edge.  The minimal-interval
+The classical and the quantum products share one engine, written once here.
+It runs on one-line (alpha, word) tuples through the cover kernels of
+``kbruhat`` and ``qbruhat`` and builds objects only for the terms it returns;
+the classical ring never walks a quantum edge, so its alpha stays 0.  The
+minimal-interval rule walks only minimal prefixes, and the Schur loop over
+monomials shares the x_m steps of common prefixes.  The minimal-interval
 rule is checked by routes that do not use it: ``hook_multiply_chains`` sums
 peakless chains of height a and length a + b - 1 for the hook (b, 1^(a-1)),
 ``poly_product`` multiplies polynomials honestly and expands the result in
@@ -29,12 +29,13 @@ computes products by general Schur polynomials.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .kbruhat import peakless_count, up_covers
-from .perm import Permutation, from_code, grassmannian, het
-from .qbruhat import QElement
+from .kbruhat import _cover_swaps, _peakless_binomial, up_covers
+from .perm import Permutation, _swapped, from_code, grassmannian
+from .qbruhat import QElement, _quantum_swaps, _raised
 
 __all__ = [
     "Poly",
@@ -294,15 +295,6 @@ class Expansion:
 
     __mul__ = __rmul__ = scale
 
-    def apply(
-        self, op: Callable[[QElement], Iterable[tuple[QElement, int]]]
-    ) -> "Expansion":
-        out: dict[QElement, int] = {}
-        for x, c in self.terms.items():
-            for y, d in op(x):
-                out[y] = out.get(y, 0) + c * d
-        return Expansion(self.n, out)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Expansion)
@@ -332,8 +324,8 @@ class Expansion:
 
 # -- one product engine for both rings -----------------------------------------
 #
-# ``covers`` is ``up_covers`` on permutations or ``q_up_covers`` on q-elements;
-# ``_lifted_up_covers`` runs the classical covers on q-elements.
+# A class q^alpha w is the tuple pair (alpha, w.word); ``quantum`` switches
+# the quantum edges on.
 
 
 def _check_k(n: int, k: int) -> None:
@@ -355,85 +347,107 @@ def _check_powersum_args(u: Permutation, r: int, k: int) -> None:
         raise ValueError(f"power sum degree must be positive, got {r}")
 
 
-def _lifted_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
-    return [(lab, QElement(x.alpha, w)) for lab, w in up_covers(x.w, k)]
+def _covers(alpha: tuple[int, ...], word: tuple[int, ...], k: int, quantum: bool):
+    """(i, l, alpha') for every cover q^alpha word -> q^alpha' word t_il."""
+    for i, l in _cover_swaps(word, k):
+        yield i, l, alpha
+    if quantum:
+        for i, l in _quantum_swaps(word, k):
+            yield i, l, _raised(alpha, i, l)
 
 
-def _monk_terms(x, k: int, covers) -> list:
-    """The Monk rule, shared by both rings: every k-cover of x, once."""
-    return [(y, 1) for _lab, y in covers(x, k)]
+def _expansion(n: int, terms: dict) -> Expansion:
+    return Expansion(
+        n,
+        [
+            (QElement._trusted(alpha, Permutation._trusted(word)), c)
+            for (alpha, word), c in terms.items()
+        ],
+    )
 
 
-def _x_times(exp: Expansion, m: int, covers) -> Expansion:
-    """Multiplication by x_m = (x_1 + ... + x_m) - (x_1 + ... + x_{m-1}).
+def _x_step(terms: dict, m: int, n: int, quantum: bool) -> dict:
+    """x_m = (x_1 + ... + x_m) - (x_1 + ... + x_{m-1}) times {(alpha, word): c}.
 
-    Monk at k = m minus monk at k = m - 1; x_1 + ... + x_n acts as zero.
+    Monk at k = m minus Monk at k = m - 1; x_1 + ... + x_n acts as zero.
     """
+    out: dict = {}
+    for (alpha, word), c in terms.items():
+        for k, d in ((m, c), (m - 1, -c)):
+            if 1 <= k < n:
+                for i, l, lifted in _covers(alpha, word, k, quantum):
+                    key = (lifted, _swapped(word, i, l))
+                    out[key] = out.get(key, 0) + d
+    return {key: c for key, c in out.items() if c}
+
+
+def _apply_x(exp: Expansion, m: int, quantum: bool) -> Expansion:
     n = exp.n
     if not 1 <= m <= n:
         raise ValueError(f"x_{m} is not a variable of H*Fl_{n}")
-
-    def op(x: QElement):
-        out = [(y, 1) for _lab, y in covers(x, m)] if m < n else []
-        if m > 1:
-            out += [(y, -1) for _lab, y in covers(x, m - 1)]
-        return out
-
-    return exp.apply(op)
+    terms = {(x.alpha, x.w.word): c for x, c in exp.terms.items()}
+    return _expansion(n, _x_step(terms, m, n, quantum))
 
 
-def _operator_sum(u: Permutation, monomials, x_op) -> Expansion:
-    """S_u times the sum of c x^e q^f over ((e, f), c), one x_op per x_m."""
-    out = Expansion(u.n)
-    for (xe, qe), c in monomials:
-        cur = Expansion.unit(u)
-        for i, e in enumerate(xe, start=1):
-            for _ in range(e):
-                cur = x_op(cur, i)
-        if qe:
-            cur = cur.apply(lambda x: [(QElement(_padded_sum(x.alpha, qe), x.w), 1)])
-        out = out + cur.scale(c)
-    return out
+def _operator_sum(u: Permutation, monomials, quantum: bool) -> Expansion:
+    """S_u times the sum of c x^e q^f over ((e, f), c), one x_m step per letter.
 
-
-def _reachable(start, k: int, r: int, covers) -> set:
-    """Everything r cover-steps above ``start``."""
-    frontier = {start}
-    for _ in range(r):
-        frontier = {y for x in frontier for _lab, y in covers(x, k)}
-    return frontier
-
-
-def _minimal_rule(start, k: int, r: int, covers, coeff) -> Expansion:
-    """Sum coeff(zeta, #cycles) q^alpha w over the minimal intervals of rank r.
-
-    Walks r cover-steps up from ``start``: u on the classical frontier, q^0 u
-    on the quantum one.  A top q^alpha w counts when zeta = w u^{-1} has
-    #supp - #cycles = r.
+    Monomials that start alike (x_1^2 x_2 and x_1^2 x_3) share the steps of
+    their common prefix through a memo kept for this call only.
     """
-    classical = isinstance(start, Permutation)
-    u = start if classical else start.w
-    u_inv = u.inverse()
-    zero = (0,) * (u.n - 1)
-    terms = []
-    for x in _reachable(start, k, r, covers):
-        w = x if classical else x.w
-        zeta = w * u_inv
-        cycles = zeta.num_cycles()
-        if len(zeta.support()) - cycles != r:
-            continue  # reachable at rank r but the interval is not minimal
-        c = coeff(zeta, cycles)
+    n = u.n
+    memo = {(): {((0,) * (n - 1), u.word): 1}}
+    out: dict = {}
+    for (xe, qe), c in monomials:
+        letters = tuple(m for m, e in enumerate(xe, start=1) for _ in range(e))
+        for j, m in enumerate(letters):
+            if letters[: j + 1] not in memo:
+                memo[letters[: j + 1]] = _x_step(memo[letters[:j]], m, n, quantum)
+        for (alpha, word), d in memo[letters].items():
+            key = (_padded_sum(alpha, qe) if qe else alpha, word)
+            out[key] = out.get(key, 0) + c * d
+    return _expansion(n, out)
+
+
+def _minimal_rule(u: Permutation, k: int, r: int, quantum: bool, coeff) -> Expansion:
+    """Sum coeff(het, s) q^alpha w over the minimal intervals [u, q^alpha w] of rank r.
+
+    A cover w -> w t_il either merges the cycles of sigma = u^{-1} w through
+    positions i and l or splits their common cycle, so n - #cycles(sigma)
+    moves by one.  A rank-r interval is minimal (#supp - s = r, with s the
+    nontrivial cycles of zeta = w u^{-1}) iff all r steps merged: the walk
+    keeps merges only, and every top it reaches is minimal.
+    """
+    n = u.n
+    start = u.word
+    pos = {v: p for p, v in enumerate(start)}  # sigma(p) = pos[word[p]]
+    frontier = {((0,) * (n - 1), start)}
+    for _ in range(r):
+        up = set()
+        for alpha, word in frontier:
+            for i, l, lifted in _covers(alpha, word, k, quantum):
+                p = pos[word[i]]
+                while p != i and p != l:
+                    p = pos[word[p]]
+                if p == i:  # l is off the cycle through i: a merge
+                    up.add((lifted, _swapped(word, i, l)))
+        frontier = up
+    terms = {}
+    for alpha, word in frontier:
+        moved = sum(map(operator.ne, start, word))
+        rising = sum(map(operator.lt, start, word))  # het(zeta)
+        c = coeff(rising, moved - r)
         if c:
-            terms.append((QElement(zero, w) if classical else x, c))
-    return Expansion(u.n, terms)
+            terms[alpha, word] = c
+    return _expansion(n, terms)
 
 
 def _hook_coefficient(a: int):
-    return lambda zeta, _cycles: peakless_count(zeta, a)
+    return lambda rising, cycles: _peakless_binomial(cycles, rising, a)
 
 
-def _powersum_coefficient(zeta: Permutation, cycles: int) -> int:
-    return (-1) ** (het(zeta) + 1) if cycles == 1 else 0
+def _powersum_coefficient(rising: int, cycles: int) -> int:
+    return (-1) ** (rising + 1) if cycles == 1 else 0
 
 
 # -- classical products ---------------------------------------------------------
@@ -442,20 +456,19 @@ def _powersum_coefficient(zeta: Permutation, cycles: int) -> int:
 def monk_multiply(u: Permutation, k: int) -> Expansion:
     """S_u times S_{(k, k+1)} = x_1 + ... + x_k: the k-Bruhat covers of u."""
     zero = (0,) * (u.n - 1)
-    terms = _monk_terms(u, k, up_covers)
-    return Expansion(u.n, [(QElement(zero, w), c) for w, c in terms])
+    return Expansion(u.n, [(QElement(zero, w), 1) for _lab, w in up_covers(u, k)])
 
 
 def x_times(exp: Expansion, m: int) -> Expansion:
     """Multiplication by x_m in H*Fl_n (monk at m minus monk at m - 1)."""
-    return _x_times(exp, m, _lifted_up_covers)
+    return _apply_x(exp, m, False)
 
 
 def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u times s_lambda(x_1, ..., x_k) in H*Fl_n, by iterated x_m-operators."""
     _check_k(u.n, k)
     monomials = [((e, ()), c) for e, c in schur_poly(lam, k).monomials()]
-    return _operator_sum(u, monomials, x_times)
+    return _operator_sum(u, monomials, False)
 
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
@@ -486,13 +499,13 @@ def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     with #supp - #cycles = a + b - 1.
     """
     _check_hook_args(u, a, b, k)
-    return _minimal_rule(u, k, a + b - 1, up_covers, _hook_coefficient(a))
+    return _minimal_rule(u, k, a + b - 1, False, _hook_coefficient(a))
 
 
 def powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:
     """S_u times p_r(x_1..x_k): signed sum over minimal cycles of rank r."""
     _check_powersum_args(u, r, k)
-    return _minimal_rule(u, k, r, up_covers, _powersum_coefficient)
+    return _minimal_rule(u, k, r, False, _powersum_coefficient)
 
 
 def poly_product(
