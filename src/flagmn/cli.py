@@ -196,7 +196,7 @@ def _endpoints(args):
 
 def cmd_interval(args) -> int:
     u, target, k = _endpoints(args)
-    if target.is_classical() and not args.quantum:
+    if target.is_classical():
         poset = interval(u, target.w, k)
     else:
         poset = q_interval(u, target, k)
@@ -219,7 +219,7 @@ def cmd_interval(args) -> int:
 
 def cmd_chains(args) -> int:
     u, target, k = _endpoints(args)
-    if target.is_classical() and not args.quantum:
+    if target.is_classical():
         found = list(chains(u, target.w, k))
     else:
         found = list(q_chains(u, target, k))
@@ -365,11 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--u", required=True)
         p.add_argument("--target", required=True, help="permutation or q^alpha w")
         p.add_argument("--k", type=int, required=True)
-        p.add_argument(
-            "--quantum",
-            action="store_true",
-            help="stay in S_n[q] even for a classical target",
-        )
         if name == "interval":
             p.add_argument(
                 "--format", choices=["text", "json", "dot"], default="text"

@@ -18,6 +18,7 @@ shape of zeta, which the default code paths exploit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -96,14 +97,14 @@ def bruhat_leq(x: Permutation, w: Permutation) -> bool:
     """Strong Bruhat order via sorted-prefix dominance.
 
     x <= w iff for every i the sorted tuple of x(1..i) is entrywise at most
-    the sorted tuple of w(1..i).
+    the sorted tuple of w(1..i).  Nothing else in the package calls it, as
+    ``leq_k`` has a closed form of its own.  It stays on purpose: it is public
+    API, and the ``perfbench`` tracer rebinds it, so ``--trace 1`` needs it.
     """
     if x.n != w.n:
         raise ValueError("size mismatch")
     xs: list[int] = []
     ws: list[int] = []
-    import bisect
-
     for a, b in zip(x.word, w.word):
         bisect.insort(xs, a)
         bisect.insort(ws, b)

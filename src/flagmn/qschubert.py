@@ -39,12 +39,14 @@ from .qbruhat import QElement, q_up_covers
 from .schubert import (
     Expansion,
     Poly,
+    _SparsePoly,
     _apply_x,
     _check_hook_args,
     _check_k,
     _check_powersum_args,
     _hook_coefficient,
     _minimal_rule,
+    _names,
     _operator_sum,
     _padded_sum,
     _powersum_coefficient,
@@ -302,25 +304,20 @@ def q_powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:
 # -- the quantization oracle ----------------------------------------------------
 
 
-class QPoly:
+class QPoly(_SparsePoly):
     """Sparse integer polynomial in x's and q's; keys are (x, q) exponent pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ONE = ((), ())
+    _key_names = staticmethod(lambda key: _names("q", key[1]) + _names("x", key[0]))
 
-    def __init__(
-        self,
-        terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] | None = None,
-    ):
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        if terms:
-            for (xe, qe), c in terms.items():
-                if c:
-                    clean[(_trim(xe), _trim(qe))] = c
-        self.terms = clean
+    @staticmethod
+    def _trim_key(key):
+        return _trim(key[0]), _trim(key[1])
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({((), ()): 1})
+    @staticmethod
+    def _mul_keys(a, b):
+        return _padded_sum(a[0], b[0]), _padded_sum(a[1], b[1])
 
     @classmethod
     def from_poly(cls, p: Poly) -> "QPoly":
@@ -334,70 +331,12 @@ class QPoly:
     def q(cls, i: int) -> "QPoly":
         return cls({((), (0,) * (i - 1) + (1,)): 1})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPoly) and self.terms == other.terms
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QPoly(out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (other * -1)
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            return QPoly({key: c * other for key, c in self.terms.items()})
-        out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (xa, qa), c1 in self.terms.items():
-            for (xb, qb), c2 in other.terms.items():
-                key = (_padded_sum(xa, xb), _padded_sum(qa, qb))
-                out[key] = out.get(key, 0) + c1 * c2
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
     def classical_part(self) -> Poly:
         """The polynomial obtained by setting every q_i to zero."""
         return Poly({xe: c for (xe, qe), c in self.terms.items() if not qe})
 
-    def monomials(self):
-        return sorted(self.terms.items())
-
     def coefficient(self, xe: tuple[int, ...], qe: tuple[int, ...] = ()) -> int:
         return self.terms.get((_trim(tuple(xe)), _trim(tuple(qe))), 0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xe, qe), c in self.monomials():
-            names = [
-                f"q{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(qe)
-                if e
-            ] + [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(xe)
-                if e
-            ]
-            body = "*".join(names)
-            if not body:
-                parts.append(f"{c:+d}")
-            elif c == 1:
-                parts.append(f"+{body}")
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c:+d}*{body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.terms!r})"
 
 
 @lru_cache(maxsize=None)

@@ -67,59 +67,97 @@ def _padded_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b + (0,) * (len(a) - len(b))))
 
 
-class Poly:
-    """Sparse integer polynomial in x_1, x_2, ... with tuple exponent keys."""
+def _names(v: str, exps: tuple[int, ...]) -> list[str]:
+    """The printed factors of the monomial v^exps, such as x1 and x2^3."""
+    return [f"{v}{i}^{e}" if e > 1 else f"{v}{i}" for i, e in enumerate(exps, 1) if e]
+
+
+class _SparsePoly:
+    """Sparse integer polynomial: a dict from exponent keys to nonzero coefficients.
+
+    A subclass fixes its key rules: ``_trim_key`` strips a key's trailing
+    zeros, ``_mul_keys`` multiplies two keys, ``_ONE`` is the key of 1 and
+    ``_key_names`` lists the variables a key prints as.  Equality is
+    type-strict, so polynomials of different subclasses never compare equal.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, c in terms.items():
-                if c:
-                    clean[_trim(tuple(exps))] = c
-        self.terms = clean
+    def __init__(self, terms: dict | None = None):
+        trim = self._trim_key
+        self.terms = {trim(key): c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def one(cls) -> "Poly":
-        return cls({(): 1})
-
-    @classmethod
-    def x(cls, i: int) -> "Poly":
-        return cls({(0,) * (i - 1) + (1,): 1})
+    def one(cls):
+        return cls({cls._ONE: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other):
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return Poly(out)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self * -1
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "Poly":
+    def __mul__(self, other):
         if isinstance(other, int):
-            return Poly({e: c * other for e, c in self.terms.items()})
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = _padded_sum(e1, e2)
+            return type(self)({key: c * other for key, c in self.terms.items()})
+        mul = self._mul_keys
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = mul(k1, k2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return Poly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
+
+    def monomials(self) -> list:
+        return sorted(self.terms.items())
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, c in self.monomials():
+            body = "*".join(self._key_names(key))
+            if not body:
+                parts.append(f"{c:+d}")
+            elif c in (1, -1):
+                parts.append(f"{c:+d}"[0] + body)  # +x1, not +1*x1
+            else:
+                parts.append(f"{c:+d}*{body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class Poly(_SparsePoly):
+    """Sparse integer polynomial in x_1, x_2, ... with tuple exponent keys."""
+
+    __slots__ = ()
+    _trim_key = staticmethod(_trim)
+    _mul_keys = staticmethod(_padded_sum)
+    _ONE = ()
+    _key_names = staticmethod(lambda exps: _names("x", exps))
+
+    @classmethod
+    def x(cls, i: int) -> "Poly":
+        return cls({(0,) * (i - 1) + (1,): 1})
 
     def times_x(self, i: int) -> "Poly":
         out = {}
@@ -135,34 +173,8 @@ class Poly:
     def lexmin_monomial(self) -> tuple[int, ...]:
         return min(self.terms)
 
-    def monomials(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
     def coefficient(self, exps: tuple[int, ...]) -> int:
         return self.terms.get(_trim(tuple(exps)), 0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.monomials():
-            vars_ = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            )
-            if not vars_:
-                parts.append(f"{c:+d}")
-            elif c == 1:
-                parts.append(f"+{vars_}")
-            elif c == -1:
-                parts.append(f"-{vars_}")
-            else:
-                parts.append(f"{c:+d}*{vars_}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
 
 
 def divided_difference(p: Poly, i: int) -> Poly:

@@ -188,6 +188,9 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("operators", "--word", "v(1,2)", "--n", "3", "--k", "1"),
         ("product", "--u", "1432", "--n", "3", "--k", "1", "--class", "s1"),
         ("product", "--quantum", "--u", "12345678", "--k", "1", "--lambda", "1"),
+        # the target alone picks the order: interval and chains have no --quantum
+        ("interval", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
+        ("chains", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -16,7 +16,7 @@ from flagmn import qschubert, schubert
 from flagmn.kbruhat import up_covers
 from flagmn.perm import Permutation, all_permutations, het, partitions
 from flagmn.qbruhat import QElement, q_ij, q_up_covers, quantum_up_covers
-from flagmn.qschubert import q_x_times, quantum_schur
+from flagmn.qschubert import q_x_times, quantum_elementary, quantum_schur
 from flagmn.schubert import (
     Expansion,
     _hook_coefficient,
@@ -24,6 +24,7 @@ from flagmn.schubert import (
     _operator_sum,
     _padded_sum,
     _powersum_coefficient,
+    schubert_poly,
     schur_poly,
     x_times,
 )
@@ -243,3 +244,28 @@ def golden_digest():
 
 def test_golden_products_are_byte_identical():
     assert golden_digest() == GOLDEN_SHA256
+
+
+# sha256 of the printed polynomials below, recorded at commit e6fcde8 (before
+# Poly and QPoly shared their arithmetic)
+POLY_SHA256 = "06815577b4d2677e6c1696a6fc396216e5e013d8d43627def14cc82dc151c11a"
+
+
+def printed_polynomials():
+    """str of every Schubert polynomial of S_5 and of every quantum Schur
+    polynomial in a k x (n - k) rectangle with n <= 5, then one QPoly repr."""
+    for w in all_permutations(5):
+        yield str(schubert_poly(w))
+    for n in range(2, 6):
+        for k in range(1, n):
+            for size in range(k * (n - k) + 1):
+                for lam in partitions(size, n - k, k):
+                    yield str(quantum_schur(lam, k, n))
+    yield repr(quantum_elementary(3, 4))
+
+
+def test_golden_polynomials_print_byte_identically():
+    h = hashlib.sha256()
+    for text in printed_polynomials():
+        h.update(f"{text}\n".encode())
+    assert h.hexdigest() == POLY_SHA256

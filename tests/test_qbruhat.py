@@ -223,6 +223,32 @@ def test_q_interval_classical_restriction():
     assert is_minimal_interval(u, t, 5)
 
 
+def test_q_interval_at_a_classical_top_is_the_classical_interval():
+    # every quantum cover raises the q-degree, so below a classical top the
+    # quantum walk keeps only classical covers; the CLI needs no --quantum
+    from flagmn.kbruhat import interval
+
+    def printed(poset):
+        return (
+            sorted(str(x) for x in poset.elements),
+            sorted((str(x), lab, str(y)) for x, lab, y in poset.edges),
+        )
+
+    perms = list(all_permutations(4))
+    for u in perms:
+        for w in perms:
+            for k in (1, 2, 3):
+                try:
+                    want = printed(interval(u, w, k))
+                except ValueError:
+                    want = None
+                try:
+                    got = printed(q_interval(u, QElement((0, 0, 0), w), k))
+                except ValueError:
+                    got = None
+                assert got == want, (u, w, k)
+
+
 def test_q_leq():
     u = parse_permutation("41352")
     assert q_leq(u, qe("q_{3,5} 52134", 5), 3)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,55 @@ def test_quantum_elementary_classical_part():
         for i in range(0, j + 1):
             classical = quantum_elementary(i, j).classical_part()
             assert classical == schur_poly((1,) * i, j)
+
+
+def _random_exponents(rng, length):
+    return tuple(rng.randint(0, 2) for _ in range(rng.randint(0, length)))
+
+
+def _random_qpoly(rng):
+    return QPoly(
+        {
+            (_random_exponents(rng, 3), _random_exponents(rng, 2)): rng.randint(-3, 3)
+            for _ in range(rng.randint(0, 4))
+        }
+    )
+
+
+def _random_poly(rng):
+    return Poly(
+        {_random_exponents(rng, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+    )
+
+
+def test_qpoly_ring_laws_on_seeded_polynomials():
+    rng = random.Random("qpoly-ring-laws")
+    for _ in range(200):
+        a, b, c = (_random_qpoly(rng) for _ in range(3))
+        assert (a + b) * c == a * c + b * c
+        assert a * b == b * a and a + b == b + a
+        assert a - a == QPoly() and not a - a
+        assert a * 1 == a * QPoly.one() == 1 * a == a
+        assert (a + b).classical_part() == a.classical_part() + b.classical_part()
+        assert (a * b).classical_part() == a.classical_part() * b.classical_part()
+        p, r = _random_poly(rng), _random_poly(rng)
+        assert QPoly.from_poly(p + r) == QPoly.from_poly(p) + QPoly.from_poly(r)
+        assert QPoly.from_poly(p * r) == QPoly.from_poly(p) * QPoly.from_poly(r)
+        assert QPoly.from_poly(p).classical_part() == p
+    assert QPoly.one().classical_part() == Poly.one()
+
+
+def test_poly_and_qpoly_share_their_arithmetic():
+    # equality stays type-strict: the zero and the one of the two types differ
+    assert Poly() != QPoly() and QPoly() != Poly()
+    assert Poly.one() != QPoly.one()
+    shared = (
+        "__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+        "__eq__", "__hash__", "__bool__", "monomials", "__str__", "__repr__",
+    )
+    for name in shared:
+        assert getattr(Poly, name) is getattr(QPoly, name), name
+        assert name not in vars(Poly) and name not in vars(QPoly), name
 
 
 def test_e_n_1_has_no_quantum_correction():

@@ -86,6 +86,15 @@ def test_path_worker_names_the_failing_word(monkeypatch):
     assert verification._path_worker(letters) == (1, f"{word}: both row and column")
 
 
+def test_gate_case_lists_count_distinct_cases():
+    # quantum-paths and quantum-oracles print len(cases), so no case repeats
+    paths = list(verification._structural_paths(5))
+    assert len(paths) == len(set(paths)) == 3140
+    cases, exhaustive = verification._quantum_oracle_cases()
+    assert len(cases) == len(set(cases)) == 240 + 189
+    assert exhaustive == 240
+
+
 def test_forest_worker_names_the_failing_word(monkeypatch):
     case = (5, ((1, 2),))
     assert verification._forest_worker(case) == (1, None)
