@@ -25,6 +25,7 @@ from .qbruhat import QElement, parse_qelement, q_chains, q_interval
 from .qschubert import (
     QLRQuery,
     fgp_product,
+    ll_reduce_product,
     q_hook_multiply,
     q_monk_multiply,
     q_powersum_multiply,
@@ -65,6 +66,7 @@ __all__ = [
     "interval",
     "is_minimal",
     "leq_k",
+    "ll_reduce_product",
     "longest_element",
     "monk_multiply",
     "parse_permutation",

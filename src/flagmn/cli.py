@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import sys
 from typing import Sequence
@@ -19,11 +20,10 @@ from .operators import act, classify, parse_word, word_diagram, word_to_dot
 from .perm import hook_partition, identity, parse_permutation
 from .qbruhat import parse_qelement, q_chains, q_interval
 from .qschubert import (
-    QLRQuery,
     fgp_product,
+    ll_reduce_product,
     q_hook_multiply,
     q_powersum_multiply,
-    quantum_lr,
 )
 from .schubert import (
     Expansion,
@@ -107,12 +107,13 @@ def _product_ambient(args, u, kind: str, data) -> int:
     return args.k + (data[0][0] if kind == "lambda" else data[-1])
 
 
-def _ll_reduce(u, a, b, k):
-    lam = hook_partition(a, b)
-    support = q_hook_multiply(u, a, b, k).items()
-    coeffs = {z: quantum_lr(QLRQuery(u, z.w, z.alpha, lam, k)) for z, _c in support}
-    return Expansion(u.n, coeffs)
+def _on_hook(route):
+    """A route on shapes (u, lam, k) as a route on hooks (u, a, b, k)."""
+    return lambda u, a, b, k: route(u, hook_partition(a, b), k)
 
+
+_FGP = "the FGP quantization oracle"
+_LL = "descent exchange on every quantum walk top of rank |lambda|"
 
 # (kind, quantum, --basis) -> (route, what it computes); route(u, *data, k)
 # computes the product.  The first basis of a (kind, quantum) pair is its
@@ -121,17 +122,13 @@ _PRODUCT_ROUTES = {
     ("hook", False, "chains"): (hook_multiply_chains, "peakless chains"),
     ("hook", False, "minimal"): (hook_multiply_minimal, "minimal intervals"),
     ("hook", True, "hook-theorem"): (q_hook_multiply, "the quantum hook rule"),
-    ("hook", True, "ll-reduce"): (
-        _ll_reduce, "descent exchange; reads its support from the hook theorem"
-    ),
-    ("hook", True, "fgp-oracle"): (
-        lambda u, a, b, k: fgp_product(u, hook_partition(a, b), k),
-        "the FGP quantization oracle",
-    ),
+    ("hook", True, "ll-reduce"): (_on_hook(ll_reduce_product), _LL),
+    ("hook", True, "fgp-oracle"): (_on_hook(fgp_product), _FGP),
     ("powersum", False, None): (powersum_multiply, ""),
     ("powersum", True, None): (q_powersum_multiply, ""),
     ("lambda", False, None): (schur_multiply, ""),
-    ("lambda", True, "fgp-oracle"): (fgp_product, "the FGP quantization oracle"),
+    ("lambda", True, "fgp-oracle"): (fgp_product, _FGP),
+    ("lambda", True, "ll-reduce"): (ll_reduce_product, _LL),
 }
 
 
@@ -331,7 +328,10 @@ def cmd_reproduce(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: nothing here varies, and parse_args leaves the
+    # parser unchanged
     parser = argparse.ArgumentParser(
         prog="flagmn",
         description="Schubert calculus on the quantum Bruhat order",

@@ -18,7 +18,8 @@ descends, w ascends, and the second difference of alpha is 1 (2 when
 i = k); swapping positions i, i+1 in both u and w and stripping e_i from
 alpha preserves the coefficient exactly, so the classical coefficient
 reached at alpha = 0 is the answer.  When no wall qualifies the coefficient
-is zero.
+is zero.  ``ll_reduce_product`` runs that reduction on every candidate term
+of a whole product, and computes each classical product it lands on once.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)} measures how exponent vectors move
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import Permutation, cyclic_shift, fits_rectangle, longest_element
+from .perm import Permutation, _swapped, cyclic_shift, fits_rectangle, longest_element
 from .qbruhat import QElement, q_up_covers
 from .schubert import (
     Expansion,
@@ -44,6 +45,7 @@ from .schubert import (
     _check_hook_args,
     _check_k,
     _check_powersum_args,
+    _covers,
     _hook_coefficient,
     _minimal_rule,
     _names,
@@ -61,6 +63,7 @@ __all__ = [
     "QLRQuery",
     "ll_reduce_step",
     "quantum_lr",
+    "ll_reduce_product",
     "SignedQMonomial",
     "o_shift_monomial",
     "o_shift_element",
@@ -119,19 +122,29 @@ class QLRQuery:
         if self.w.n != n:
             raise ValueError("u and w must share an ambient S_n")
         object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(
-            self, "lam", tuple(v for v in self.lam if v)
-        )
         if len(self.alpha) != n - 1:
             raise ValueError(f"alpha needs {n - 1} walls, got {len(self.alpha)}")
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"negative exponent in {self.alpha!r}")
-        _check_k(n, self.k)
-        if not fits_rectangle(self.lam, self.k, n - self.k):
-            raise ValueError(
-                f"shape {self.lam} has no Grassmannian permutation with "
-                f"descent {self.k} in S_{n}"
-            )
+        object.__setattr__(self, "lam", _checked_shape(self.lam, self.k, n))
+
+    @classmethod
+    def _trusted(cls, u, w, alpha, lam, k) -> "QLRQuery":
+        """A query from parts already known to fit together, without the checks."""
+        self = object.__new__(cls)
+        self.__dict__.update(u=u, w=w, alpha=alpha, lam=lam, k=k)
+        return self
+
+
+def _checked_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    """lam without its zero parts, once k and lam are known to fit S_n."""
+    _check_k(n, k)
+    lam = tuple(v for v in lam if v)
+    if not fits_rectangle(lam, k, n - k):
+        raise ValueError(
+            f"shape {lam} has no Grassmannian permutation with descent {k} in S_{n}"
+        )
+    return lam
 
 
 def ll_reduce_step(
@@ -157,16 +170,27 @@ def ll_reduce_step(
             and sg(u, i) == 1
             and sg(w, i) == 0
         ):
-            e_i = tuple(1 if j == i else 0 for j in range(1, u.n))
-            reduced = QLRQuery(
+            # varpi_i(alpha) > 0 forces alpha_i > 0, so the step stays valid
+            reduced = QLRQuery._trusted(
                 u.swap_positions(i, i + 1),
                 w.swap_positions(i, i + 1),
-                tuple(a - b for a, b in zip(alpha, e_i)),
+                alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:],
                 query.lam,
                 k,
             )
             return i, reduced
     return None
+
+
+def _classical_query(query: QLRQuery, largest: bool) -> QLRQuery | None:
+    """The classical query (alpha = 0) that the reduction reaches, or None
+    when a step fails with alpha still nonzero and so certifies a zero."""
+    while any(query.alpha):
+        step = ll_reduce_step(query, largest=largest)
+        if step is None:
+            return None
+        query = step[1]
+    return query
 
 
 def quantum_lr(query: QLRQuery, *, largest: bool = False) -> int:
@@ -175,12 +199,43 @@ def quantum_lr(query: QLRQuery, *, largest: bool = False) -> int:
     Reduces to a classical coefficient wall by wall; a failed reduction with
     alpha still nonzero certifies that the coefficient vanishes.
     """
-    while any(query.alpha):
-        step = ll_reduce_step(query, largest=largest)
-        if step is None:
-            return 0
-        query = step[1]
+    query = _classical_query(query, largest)
+    if query is None:
+        return 0
     return schur_multiply(query.u, query.lam, query.k).coefficient(query.w)
+
+
+def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
+    """S_u * s^q_lam(x_1..x_k) by the descent exchange, term by term.
+
+    By Postnikov's quantum Pieri rule every term lies at the top of a walk
+    of |lam| steps up the quantum k-Bruhat order from u, so those tops are
+    the candidates; the hook rule is not consulted.  Each candidate reduces
+    to a coefficient of a classical product S_u' * s_lam, and each distinct
+    u' is multiplied once per call.
+    """
+    n = u.n
+    lam = _checked_shape(lam, k, n)
+    frontier = {((0,) * (n - 1), u.word)}
+    for _ in range(sum(lam)):
+        frontier = {
+            (lifted, _swapped(word, i, l))
+            for alpha, word in frontier
+            for i, l, lifted in _covers(alpha, word, k, True)
+        }
+    products: dict[Permutation, Expansion] = {}
+    terms = {}
+    for alpha, word in frontier:
+        w = Permutation._trusted(word)
+        query = _classical_query(QLRQuery._trusted(u, w, alpha, lam, k), False)
+        if query is None:
+            continue
+        if query.u not in products:
+            products[query.u] = schur_multiply(query.u, lam, k)
+        c = products[query.u].coefficient(query.w)
+        if c:
+            terms[QElement._trusted(alpha, w)] = c
+    return Expansion(n, terms)
 
 
 # -- cyclic-shift bookkeeping ---------------------------------------------------

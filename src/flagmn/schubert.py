@@ -9,7 +9,8 @@ monomials shares the x_m steps of common prefixes.  The minimal-interval
 rule is checked by routes that do not use it: ``hook_multiply_chains`` sums
 peakless chains of height a and length a + b - 1 for the hook (b, 1^(a-1)),
 ``poly_product`` multiplies polynomials honestly and expands the result in
-the Schubert basis, and ``qschubert`` has ``fgp_product`` and ``quantum_lr``.
+the Schubert basis, and ``qschubert`` has ``fgp_product`` and
+``ll_reduce_product``.
 
 Schubert polynomials are computed by the transition recursion: with r the
 last descent of w and s the last position past r with w(s) < w(r), setting
@@ -84,8 +85,18 @@ class _SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        trim = self._trim_key
-        self.terms = {trim(key): c for key, c in terms.items() if c} if terms else {}
+        out: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._trim_key(key)  # keys equal up to trailing zeros add up
+            out[key] = out.get(key, 0) + c
+        self.terms = {key: c for key, c in out.items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict):
+        """A polynomial from keys already trimmed, without trimming them again."""
+        self = object.__new__(cls)
+        self.terms = {key: c for key, c in terms.items() if c}
+        return self
 
     @classmethod
     def one(cls):
@@ -104,7 +115,7 @@ class _SparsePoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return type(self)(out)
+        return self._trusted(out)
 
     def __neg__(self):
         return self * -1
@@ -114,14 +125,14 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)({key: c * other for key, c in self.terms.items()})
+            return self._trusted({key: c * other for key, c in self.terms.items()})
         mul = self._mul_keys
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = mul(k1, k2)
+                key = mul(k1, k2)  # trimmed keys multiply to a trimmed key
                 out[key] = out.get(key, 0) + c1 * c2
-        return type(self)(out)
+        return self._trusted(out)
 
     __rmul__ = __mul__
 
@@ -165,7 +176,7 @@ class Poly(_SparsePoly):
             e = list(exps) + [0] * (i - len(exps))
             e[i - 1] += 1
             out[tuple(e)] = c
-        return Poly(out)
+        return Poly._trusted(out)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from flagmn import verification
+from flagmn import cli, verification
 from flagmn.cli import main
 from flagmn.schubert import Expansion
 from flagmn.verification import fixture_text
@@ -42,6 +42,22 @@ def test_quantum_bases_agree(capsys):
     code_c, text_c, _ = run(capsys, *args, "--basis", "ll-reduce")
     assert code_a == code_b == code_c == 0
     assert text_a == text_b == text_c
+
+
+def test_quantum_lambda_routes_agree(capsys):
+    args = ("product", "--quantum", "--u", "41352", "--k", "3", "--lambda", "2,2")
+    code_a, text_a, _ = run(capsys, *args)
+    code_b, text_b, _ = run(capsys, *args, "--basis", "ll-reduce")
+    assert code_a == code_b == 0
+    assert text_a == text_b and text_a.count("\n") > 1
+
+
+def test_ll_reduce_reaches_past_the_fgp_oracle(capsys):
+    args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
+    code, _, err = run(capsys, *args, "--basis", "fgp-oracle")
+    assert code == 2 and "stops at S_7" in err
+    code, out, _ = run(capsys, *args, "--basis", "ll-reduce")
+    assert code == 0 and len(out.splitlines()) == 36
 
 
 def test_classical_bases_agree(capsys):
@@ -195,3 +211,25 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert main(list(argv)) == 2
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    product = ("product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1,2")
+    calls = [
+        (*product, "--format", "json"),
+        product,
+        ("product", "--u", "1432", "--k", "2", "--basis", "nope"),
+        ("product", "--u", "1432", "--k", "2", "--class", "s1"),
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert [code for code, _out, _err in alone] == [0, 0, 2, 0]
+    assert alone[0][1] != alone[1][1]

@@ -24,6 +24,7 @@ from flagmn.qschubert import (
     _elementary_poly,
     _standard_solver,
     fgp_product,
+    ll_reduce_product,
     ll_reduce_step,
     o_shift_element,
     o_shift_monomial,
@@ -287,6 +288,12 @@ def test_qpoly_ring_laws_on_seeded_polynomials():
         assert QPoly.from_poly(p * r) == QPoly.from_poly(p) * QPoly.from_poly(r)
         assert QPoly.from_poly(p).classical_part() == p
     assert QPoly.one().classical_part() == Poly.one()
+
+
+def test_qpoly_keys_equal_up_to_trailing_zeros_add_up():
+    q = QPoly({((1,), (0, 1)): 2, ((1, 0), (0, 1, 0)): 3})
+    assert str(q) == "+5*q2*x1"
+    assert not QPoly({((1,), ()): 2, ((1, 0), (0,)): -2})
 
 
 def test_poly_and_qpoly_share_their_arithmetic():
@@ -558,6 +565,44 @@ def test_quantum_lr_zero_off_support():
                 continue
             want = exp.terms.get(z, 0)
             assert quantum_lr(QLRQuery(u, w, alpha, (1,), 2)) == want
+
+
+def _rectangle_shapes(k, n):
+    return [
+        lam for size in range(k * (n - k) + 1) for lam in partitions(size, n - k, k)
+    ]
+
+
+def test_ll_reduce_product_matches_fgp_on_every_rectangle_shape():
+    for n in (3, 4):
+        for u in all_permutations(n):
+            for k in range(1, n):
+                for lam in _rectangle_shapes(k, n):
+                    assert ll_reduce_product(u, lam, k) == fgp_product(u, lam, k)
+    rng = random.Random("ll-reduce-s5")
+    words5 = [p.word for p in all_permutations(5)]
+    for _ in range(100):
+        u, k = Permutation(rng.choice(words5)), rng.randrange(1, 5)
+        lam = rng.choice(_rectangle_shapes(k, 5))
+        assert ll_reduce_product(u, lam, k) == fgp_product(u, lam, k), (u, lam, k)
+
+
+def test_ll_reduce_product_matches_the_hook_theorem_on_every_s5_hook():
+    for u in all_permutations(5):
+        for k in range(1, 5):
+            for a in range(1, k + 1):
+                for b in range(1, 5 - k + 1):
+                    got = ll_reduce_product(u, hook_partition(a, b), k)
+                    assert got == q_hook_multiply(u, a, b, k), (u, k, a, b)
+
+
+def test_ll_reduce_product_validates_up_front():
+    u = parse_permutation("1432")
+    assert ll_reduce_product(u, (1, 0), 2) == ll_reduce_product(u, (1,), 2)
+    assert ll_reduce_product(u, (), 2) == Expansion.unit(u)
+    for lam, k in (((3,), 2), ((1, 1, 1), 2), ((1,), 4), ((1,), 0)):
+        with pytest.raises(ValueError):
+            ll_reduce_product(u, lam, k)
 
 
 def test_nonzero_terms_satisfy_descent_bound():

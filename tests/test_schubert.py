@@ -55,6 +55,9 @@ def test_poly_basics():
 def test_poly_trailing_zeros_normalized():
     assert poly_of({(1, 0): 1}) == poly_of({(1,): 1})
     assert Poly.x(3).terms == {(0, 0, 1): 1}
+    # keys equal up to trailing zeros add up, and a zero sum drops out
+    assert str(poly_of({(1,): 2, (1, 0): 3})) == "+5*x1"
+    assert poly_of({(1,): 2, (1, 0): -2}).terms == {}
 
 
 def test_divided_difference_monomials():

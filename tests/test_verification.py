@@ -57,8 +57,10 @@ def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
 def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
     case = ((2, 1, 3, 4), 1, 1, 1)
     assert verification._quantum_oracle_worker(case) == (1, None)
-    real = verification.quantum_lr
-    monkeypatch.setattr(verification, "quantum_lr", lambda query: real(query) + 1)
+    real = verification.ll_reduce_product
+    monkeypatch.setattr(
+        verification, "ll_reduce_product", lambda u, lam, k: real(u, lam, k) * 2
+    )
     _, failure = verification._quantum_oracle_worker(case)
     assert failure.startswith("u=2134 k=1 hook=1,1: hook-theorem != ll-reduce at ")
     monkeypatch.setattr(verification, "fgp_product", lambda u, lam, k: Expansion(u.n))
