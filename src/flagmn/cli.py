@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or reproduction failed, 2 bad usage.
+Bad usage is any ValueError: the library validates its own inputs (the
+k-range, shapes, sizes), so the front end checks only what it parses.
 Everything on stdout is deterministic - rerunning a command, at any
 FLAGMN_THREADS setting, emits identical bytes.  Timings go to stderr.
 """
@@ -36,17 +38,13 @@ from .schubert import (
 __all__ = ["main"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
-        raise UsageError(f"malformed {what} {text!r}") from None
+        raise ValueError(f"malformed {what} {text!r}") from None
     if not parts:
-        raise UsageError(f"empty {what} {text!r}")
+        raise ValueError(f"empty {what} {text!r}")
     return parts
 
 
@@ -55,7 +53,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     if any(p < 1 for p in shape) or any(
         a < b for a, b in zip(shape, shape[1:])
     ):
-        raise UsageError(f"{text!r} is not a partition")
+        raise ValueError(f"{text!r} is not a partition")
     return shape
 
 
@@ -75,25 +73,25 @@ def _emit_expansion(exp: Expansion, fmt: str) -> None:
 def _product_shape(args) -> tuple[str, tuple]:
     given = (args.monk_class, args.hook, args.powersum, args.shape)
     if sum(value is not None for value in given) != 1:
-        raise UsageError(
+        raise ValueError(
             "give exactly one of --class, --hook, --powersum, --lambda"
         )
     if args.monk_class is not None:
         text = args.monk_class
         if not text.startswith("s") or not text[1:].isdigit():
-            raise UsageError(f"--class wants s<m>, got {text!r}")
+            raise ValueError(f"--class wants s<m>, got {text!r}")
         m = int(text[1:])
         if m < 1:
-            raise UsageError(f"--class wants s<m> with m >= 1, got {text!r}")
+            raise ValueError(f"--class wants s<m> with m >= 1, got {text!r}")
         return "hook", (1, m)
     if args.hook is not None:
         hook = _parse_ints(args.hook, "--hook")
         if len(hook) != 2 or min(hook) < 1:
-            raise UsageError(f"--hook wants a,b with a,b >= 1, got {args.hook!r}")
+            raise ValueError(f"--hook wants a,b with a,b >= 1, got {args.hook!r}")
         return "hook", hook
     if args.powersum is not None:
         if args.powersum < 1:
-            raise UsageError("--powersum wants r >= 1")
+            raise ValueError("--powersum wants r >= 1")
         return "powersum", (args.powersum,)
     return "lambda", (_parse_shape(args.shape),)
 
@@ -142,7 +140,7 @@ def _product_route(kind: str, quantum: bool, basis: str | None):
         basis = bases[0]
     if basis not in bases:
         offer = "drop --basis" if bases == [None] else "choose " + ", ".join(bases)
-        raise UsageError(
+        raise ValueError(
             f"--basis {basis} does not apply to {_ring(kind, quantum)}; {offer}"
         )
     return _PRODUCT_ROUTES[kind, quantum, basis][0]
@@ -160,7 +158,7 @@ def _basis_help() -> str:
 
 def _extend_u(u, n: int, text: str):
     if u.n > n:
-        raise UsageError(f"--n {n} is too small for --u {text} in S_{u.n}")
+        raise ValueError(f"--n {n} is too small for --u {text} in S_{u.n}")
     return u.extend(n)
 
 
@@ -169,13 +167,10 @@ def cmd_product(args) -> int:
     u = None if args.u == "e" else parse_permutation(args.u)
     n = _product_ambient(args, u, kind, data)
     if n < 2:
-        raise UsageError(f"ambient S_{n} is too small")
+        raise ValueError(f"ambient S_{n} is too small")
     u = identity(n) if u is None else _extend_u(u, n, args.u)
-    k = args.k
-    if not 1 <= k <= n - 1:
-        raise UsageError(f"k must be in 1..{n - 1}, got {k}")
     route = _product_route(kind, args.quantum, args.basis)
-    _emit_expansion(route(u, *data, k), args.format)
+    _emit_expansion(route(u, *data, args.k), args.format)
     return 0
 
 
@@ -184,11 +179,7 @@ def cmd_product(args) -> int:
 
 def _endpoints(args):
     u = parse_permutation(args.u)
-    n = u.n
-    target = parse_qelement(args.target, n)
-    if not 1 <= args.k <= n - 1:
-        raise UsageError(f"k must be in 1..{n - 1}, got {args.k}")
-    return u, target, args.k
+    return u, parse_qelement(args.target, u.n), args.k
 
 
 def cmd_interval(args) -> int:
@@ -255,10 +246,10 @@ def cmd_operators(args) -> int:
         return 0
     action = None
     if args.k is not None and args.u is None:
-        raise UsageError("--k needs --u")
+        raise ValueError("--k needs --u")
     if args.u is not None:
         if args.k is None:
-            raise UsageError("--u needs --k")
+            raise ValueError("--u needs --k")
         u = _extend_u(parse_permutation(args.u), args.n, args.u)
         result = act(word, u, args.k)
         action = "0" if result is None else str(result)
@@ -287,10 +278,7 @@ def cmd_operators(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        names = verification.resolve_names(args.checks or ["all"])
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    names = verification.resolve_names(args.checks or ["all"])
     failed = 0
     for name in names:
         result = verification.CHECKS[name]()
@@ -306,10 +294,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        text = verification.reproduce_text(args.example)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    text = verification.reproduce_text(args.example)
     print(text, end="")
     expected = verification.fixture_text(args.example)
     if text == expected:
@@ -407,9 +392,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ strictly increases afterwards.
 A permutation zeta is *minimal* when lrank(zeta) = #support(zeta) - (number
 of nontrivial cycles), where lrank(zeta) = length(zeta u) - length(u) for any
 witness pair u <=_k zeta u.  Minimality and lrank only depend on the flattened
-shape of zeta, which the default code paths exploit.
+shape of zeta, so ``lrank`` searches for a witness of the flattened zeta.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .perm import Permutation, _swapped, flatten_cycles, het, identity
+from .perm import Permutation, _check_k, _swapped, flatten_cycles, het, identity
 
 __all__ = [
     "up_covers",
-    "cover_transposition",
     "bruhat_leq",
     "leq_k",
     "LabeledPoset",
@@ -38,13 +37,11 @@ __all__ = [
     "chains",
     "peakless_height",
     "peakless_chain_counts",
-    "has_peakless_chain",
     "find_witness",
     "lrank",
     "is_minimal",
     "peakless_count",
     "crossing",
-    "noncrossing_factorization",
 ]
 
 
@@ -75,22 +72,11 @@ def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
     [(1, '2314'), (3, '1423')]
     """
     word = u.word
-    n = len(word)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    _check_k(len(word), k)
     return [
         (word[i], Permutation._trusted(_swapped(word, i, l)))
         for i, l in _cover_swaps(word, k)
     ]
-
-
-def cover_transposition(
-    u: Permutation, w: Permutation, k: int
-) -> tuple[int, int] | None:
-    """The (i, j) with w = u * t_ij if u -> w is a k-Bruhat cover, else None."""
-    if w not in [v for _lab, v in up_covers(u, k)]:
-        return None
-    return tuple(i + 1 for i, (a, b) in enumerate(zip(u.word, w.word)) if a != b)
 
 
 def bruhat_leq(x: Permutation, w: Permutation) -> bool:
@@ -126,6 +112,7 @@ def leq_k(u: Permutation, w: Permutation, k: int) -> bool:
     """
     if u.n != w.n:
         raise ValueError("size mismatch")
+    _check_k(u.n, k)
     x, y = u.word, w.word
     if any(p > q for p, q in zip(x[:k], y[:k])) or any(
         p < q for p, q in zip(x[k:], y[k:])
@@ -358,10 +345,6 @@ def peakless_chain_counts(
     return counts
 
 
-def has_peakless_chain(u: Permutation, w: Permutation, k: int) -> bool:
-    return bool(peakless_chain_counts(u, w, k))
-
-
 # -- minimality ---------------------------------------------------------------
 
 
@@ -387,12 +370,12 @@ def find_witness(zeta: Permutation) -> tuple[Permutation, int]:
     raise ValueError(f"no witness found for {zeta}")
 
 
-def lrank(zeta: Permutation, *, flatten_first: bool = True) -> int:
+def lrank(zeta: Permutation) -> int:
     """length(zeta u) - length(u) for a witness u <=_k zeta u.
 
     Independent of the witness; depends only on the flattened shape.
     """
-    z = flatten_cycles(zeta) if flatten_first else zeta
+    z = flatten_cycles(zeta)
     if z.is_identity():
         return 0
     u, _k = find_witness(z)
@@ -401,8 +384,7 @@ def lrank(zeta: Permutation, *, flatten_first: bool = True) -> int:
 
 def is_minimal(zeta: Permutation) -> bool:
     """Whether lrank(zeta) equals #support - #cycles, its smallest possible value."""
-    z = flatten_cycles(zeta)
-    return lrank(z, flatten_first=False) == len(z.support()) - z.num_cycles()
+    return lrank(zeta) == len(zeta.support()) - zeta.num_cycles()
 
 
 def peakless_count(zeta: Permutation, a: int) -> int:
@@ -441,32 +423,3 @@ def crossing(a_supp: Iterable[int], b_supp: Iterable[int]) -> bool:
         if any(m1 < l < m2 for l in A) and any(l > m2 for l in A):
             return True
     return False
-
-
-def noncrossing_factorization(zeta: Permutation) -> list[Permutation]:
-    """Factor zeta into permutations with pairwise noncrossing connected supports.
-
-    Cycles whose supports cross are grouped together; each group multiplies
-    back into one factor.  Factors are ordered by minimum of support.
-    """
-    from .perm import from_cycles
-
-    cycs = zeta.cycles()
-    m = len(cycs)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if crossing(cycs[i], cycs[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(cycs[i])
-    factors = [from_cycles(g, zeta.n) for g in groups.values()]
-    return sorted(factors, key=lambda f: min(f.support()))

@@ -7,7 +7,9 @@ letters, and everything downstream of the action -- zero-equivalence, the
 two-letter relation table, the path/row/column/tree/forest taxonomy, and the
 row-times-column decomposition -- is decided semantically, by brute force over
 the symmetric group the size of the word's support.  The relations the letters
-satisfy are verified, never used as a rewriting system.
+satisfy are verified, never used as a rewriting system.  The relabelings here
+are the two the row/column taxonomy uses, the cyclic shift and the reversal of
+the order of application; ``chain_word`` reads a word off a saturated chain.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
-from .perm import Permutation, all_permutations, cyclic_shift, flatten, identity
+from .perm import Permutation, _check_k, all_permutations, cyclic_shift, identity
 from .qbruhat import QElement, q_chains
 
 __all__ = [
@@ -32,17 +34,7 @@ __all__ = [
     "is_zero_word",
     "equivalent_words",
     "o_shift_word",
-    "w0_word",
     "rho_word",
-    "tau_word",
-    "iota_word",
-    "word_symmetries",
-    "tau_index",
-    "iota_index",
-    "drop_position",
-    "insert_value",
-    "drop_wall",
-    "insert_wall_zero",
     "word_components",
     "has_crossing_components",
     "is_tree_word",
@@ -55,7 +47,6 @@ __all__ = [
     "classify",
     "relation_table",
     "chain_word",
-    "chains_word_bijection",
     "rc_decompose",
     "yellow_window",
     "word_diagram",
@@ -210,8 +201,7 @@ def act(
         alpha = (0,) * (u.n - 1)
     if word.n != u.n:
         raise ValueError(f"word over 1..{word.n} cannot act on S_{u.n}")
-    if not 1 <= k <= u.n - 1:
-        raise ValueError(f"k must be in 1..{u.n - 1}, got {k}")
+    _check_k(u.n, k)
     out = _act_word(word.application_order, u.word)
     if out is None or not out[0] <= k < out[1]:
         return None
@@ -300,7 +290,7 @@ def equivalent_words(v: OperatorWord, w: OperatorWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# relabelings: cyclic shift, reversal, transpose-reversal, deletion, insertion
+# relabelings: cyclic shift and reversal
 
 
 def o_shift_word(word: OperatorWord, power: int = 1) -> OperatorWord:
@@ -320,97 +310,9 @@ def o_shift_word(word: OperatorWord, power: int = 1) -> OperatorWord:
     )
 
 
-def w0_word(word: OperatorWord) -> OperatorWord:
-    """Reverse the index line: v(a,b) -> v(n+1-b, n+1-a), kinds preserved."""
-    n = word.n
-    return OperatorWord(
-        n, tuple((n + 1 - b, n + 1 - a) for a, b in word.letters)
-    )
-
-
 def rho_word(word: OperatorWord) -> OperatorWord:
     """Reverse the order of application; the letters themselves are unchanged."""
     return OperatorWord(word.n, tuple(reversed(word.letters)))
-
-
-def word_symmetries(word: OperatorWord) -> dict[str, OperatorWord]:
-    """The three global relabelings, keyed "o", "w0", "rho"."""
-    return {
-        "o": o_shift_word(word),
-        "w0": w0_word(word),
-        "rho": rho_word(word),
-    }
-
-
-def tau_index(j: int, s: int) -> int:
-    """Index relabeling after deleting s: entries above s drop by one."""
-    return j if j < s else j - 1
-
-
-def iota_index(j: int, s: int) -> int:
-    """Index relabeling before inserting at s: entries at or above s move up."""
-    return j if j < s else j + 1
-
-
-def tau_word(word: OperatorWord, s: int) -> OperatorWord:
-    """Delete the unused index s from the ambient.
-
-    Raises ValueError when s appears in the support (the letters could not be
-    relabeled consistently).
-    """
-    if not 1 <= s <= word.n:
-        raise ValueError(f"s must be in 1..{word.n}, got {s}")
-    if s in word.support():
-        raise ValueError(f"{s} is in the support of {word}")
-    return OperatorWord(
-        word.n - 1,
-        tuple((tau_index(a, s), tau_index(b, s)) for a, b in word.letters),
-    )
-
-
-def iota_word(word: OperatorWord, s: int) -> OperatorWord:
-    """Open a gap at index s (1 <= s <= n+1); the letters move around it."""
-    if not 1 <= s <= word.n + 1:
-        raise ValueError(f"s must be in 1..{word.n + 1}, got {s}")
-    return OperatorWord(
-        word.n + 1,
-        tuple((iota_index(a, s), iota_index(b, s)) for a, b in word.letters),
-    )
-
-
-def drop_position(u: Permutation, r: int) -> Permutation:
-    """Delete position r from u and flatten the remaining values.
-
-    >>> str(drop_position(Permutation((4, 1, 3, 6, 5, 2)), 3))
-    '31542'
-    """
-    word = u.word
-    if not 1 <= r <= u.n:
-        raise ValueError(f"position {r} out of range")
-    return Permutation(flatten(word[: r - 1] + word[r:]))
-
-
-def insert_value(u: Permutation, r: int, s: int) -> Permutation:
-    """The member of S_{n+1} with value s at position r restricting to u."""
-    if not 1 <= r <= u.n + 1 or not 1 <= s <= u.n + 1:
-        raise ValueError(f"cannot insert value {s} at position {r} in {u}")
-    bumped = tuple(v if v < s else v + 1 for v in u.word)
-    return Permutation(bumped[: r - 1] + (s,) + bumped[r - 1 :])
-
-
-def drop_wall(alpha: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The exponent vector left when position r is deleted.
-
-    Deleting an interior position merges walls r-1 and r, so entry r goes;
-    deleting the last position removes the final wall.
-    """
-    i = min(r, len(alpha)) - 1
-    return alpha[:i] + alpha[i + 1 :]
-
-
-def insert_wall_zero(alpha: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The exponent vector after opening a new position r: a zero wall appears."""
-    return alpha[: r - 1] + (0,) + alpha[r - 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +620,7 @@ def relation_table() -> dict[str, dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# chains <-> words
+# chains -> words
 
 
 def chain_word(chain: Chain, n: int) -> OperatorWord:
@@ -735,31 +637,6 @@ def chain_word(chain: Chain, n: int) -> OperatorWord:
         s, t = sorted((wx.inverse() * wy).support())
         app.append((wx(s), wx(t)))
     return OperatorWord.from_application(n, app)
-
-
-def chains_word_bijection(
-    u: Permutation, t: QElement, k: int
-) -> list[tuple[Chain, OperatorWord]]:
-    """All (chain, word) pairs for [u, t]^q_k, with the bijection checked.
-
-    Every chain's word must act u -> t, reproduce the chain labels as the
-    first letter entries, and be distinct from the other chains' words; any
-    failure raises RuntimeError.  Incomparable endpoints raise ValueError.
-    """
-    n = u.n
-    out: list[tuple[Chain, OperatorWord]] = []
-    seen: set[OperatorWord] = set()
-    for chain in q_chains(u, t, k):
-        w = chain_word(chain, n)
-        if tuple(a for a, _ in w.application_order) != tuple(chain.labels):
-            raise RuntimeError(f"labels of {chain} disagree with {w}")
-        if act(w, u, k) != t:
-            raise RuntimeError(f"{w} does not map {u} to {t} at k = {k}")
-        if w in seen:
-            raise RuntimeError(f"two chains share the word {w}")
-        seen.add(w)
-        out.append((chain, w))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,12 @@ class Permutation:
         return self if m == len(w) else Permutation(w[:m])
 
 
+def _check_k(n: int, k: int) -> None:
+    """The k-range rule of every k-Bruhat function on S_n: 1 <= k <= n - 1."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+
+
 def _swapped(word: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
     """``word`` with the 0-based positions i and l exchanged."""
     w = list(word)

@@ -29,7 +29,7 @@ from .kbruhat import (
     poset_chains,
     up_covers,
 )
-from .perm import Permutation, _swapped, parse_permutation
+from .perm import Permutation, _check_k, _swapped, parse_permutation
 
 __all__ = [
     "QElement",
@@ -155,9 +155,7 @@ def quantum_up_covers(
     [(4, (2, 3), '1342'), (4, (2, 4), '1234')]
     """
     word = u.word
-    n = len(word)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    _check_k(len(word), k)
     return [
         (word[i], (i + 1, l + 1), Permutation._trusted(_swapped(word, i, l)))
         for i, l in _quantum_swaps(word, k)
@@ -181,6 +179,7 @@ def _search(u: Permutation, t: QElement, k: int) -> dict:
     # overshoot t's q-degree on some wall can never come back below t
     if u.n != t.w.n:
         raise ValueError("size mismatch")
+    _check_k(u.n, k)
     return dict(
         bottom=QElement((0,) * (u.n - 1), u),
         top=t,

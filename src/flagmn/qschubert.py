@@ -22,8 +22,9 @@ is zero.  ``ll_reduce_product`` runs that reduction on every candidate term
 of a whole product, and computes each classical product it lands on once.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
-q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)} measures how exponent vectors move
-when every value is shifted by the n-cycle (1 2 ... n), and
+q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
+measures how exponent vectors move when every value is shifted by the
+n-cycle (1 2 ... n), and
 ``o_shift_element`` / ``w0_element`` / ``rho_element`` are the induced maps
 on S_n[q] that carry an interval [u, q^alpha w]_k^q onto its three partners.
 """
@@ -35,15 +36,21 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import Permutation, _swapped, cyclic_shift, fits_rectangle, longest_element
-from .qbruhat import QElement, q_up_covers
+from .perm import (
+    Permutation,
+    _check_k,
+    _swapped,
+    cyclic_shift,
+    fits_rectangle,
+    longest_element,
+)
+from .qbruhat import QElement, q_ij, q_up_covers
 from .schubert import (
     Expansion,
     Poly,
     _SparsePoly,
     _apply_x,
     _check_hook_args,
-    _check_k,
     _check_powersum_args,
     _covers,
     _hook_coefficient,
@@ -64,7 +71,6 @@ __all__ = [
     "ll_reduce_step",
     "quantum_lr",
     "ll_reduce_product",
-    "SignedQMonomial",
     "o_shift_monomial",
     "o_shift_element",
     "w0_element",
@@ -241,55 +247,26 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
 # -- cyclic-shift bookkeeping ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedQMonomial:
-    """A Laurent monomial in the q_i, stored as a signed exponent vector."""
+def o_shift_monomial(u: Permutation, w: Permutation) -> tuple[int, ...]:
+    """The signed exponents of q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}.
 
-    exponents: tuple[int, ...]
-
-    def __mul__(self, other: "SignedQMonomial") -> "SignedQMonomial":
-        if len(other.exponents) != len(self.exponents):
-            raise ValueError("wall count mismatch")
-        return SignedQMonomial(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def inverse(self) -> "SignedQMonomial":
-        return SignedQMonomial(tuple(-a for a in self.exponents))
-
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __str__(self) -> str:
-        if not any(self.exponents):
-            return "1"
-        return "q^(" + ",".join(str(a) for a in self.exponents) + ")"
-
-
-def _signed_q_ij(i: int, j: int, n: int) -> SignedQMonomial:
-    """q_{i,j} as a Laurent monomial; q_{i,j} = q_{j,i}^{-1} when i > j."""
-    lo, hi, sign = (i, j, 1) if i <= j else (j, i, -1)
-    return SignedQMonomial(
-        tuple(sign if lo <= wall < hi else 0 for wall in range(1, n))
-    )
-
-
-def o_shift_monomial(u: Permutation, w: Permutation) -> SignedQMonomial:
-    """q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, the cyclic-shift correction.
-
-    Multiplicative: o(u,w) = o(u,v) + o(v,w) for any u, v, w in S_n.
+    q_{i,j} = q_{j,i}^{-1} when i > j, and q_{i,i} = 1.  Additive:
+    o(u,w) = o(u,v) + o(v,w) for any u, v, w in S_n.
     """
     n = u.n
     if w.n != n:
         raise ValueError("size mismatch")
-    return _signed_q_ij(w.position(n), u.position(n), n)
+    i, j = w.position(n), u.position(n)
+    if i == j:
+        return (0,) * (n - 1)
+    sign = 1 if i < j else -1
+    return tuple(sign * e for e in q_ij(min(i, j), max(i, j), n))
 
 
 def o_shift_element(u: Permutation, x: QElement) -> QElement:
     """Where the cyclic shift sends q^gamma y inside [u, q^alpha w]_k^q."""
     n = u.n
-    corr = o_shift_monomial(u, x.w)
-    alpha = tuple(g + e for g, e in zip(x.alpha, corr.exponents))
+    alpha = tuple(map(sum, zip(x.alpha, o_shift_monomial(u, x.w))))
     if any(a < 0 for a in alpha):
         raise ValueError(
             f"cyclic shift of {x} relative to {u} leaves S_{n}[q]"
@@ -544,7 +521,8 @@ def quantize(p: Poly, n: int) -> QPoly:
         block = max(Counter(map(sum, itertools.product(*steps))).values())
         raise ValueError(
             f"the FGP quantization oracle stops at S_{FGP_MAX_N}: S_{n} needs "
-            f"an exact inversion of a degree block of {block} x {block} or more"
+            f"an exact inversion of a degree block of {block} x {block} or more; "
+            "ll_reduce_product (--basis ll-reduce) has no such limit"
         )
     out = QPoly()
     for tup, c in _expand_in_standard_basis(p, n).items():
@@ -555,6 +533,7 @@ def quantize(p: Poly, n: int) -> QPoly:
 @lru_cache(maxsize=None)
 def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
     """The quantum Schur polynomial s^q_lam(x_1..x_k) for lam inside R_{k,n-k}."""
+    _check_k(n, k)
     lam = tuple(v for v in lam if v)
     if not fits_rectangle(lam, k, n - k):
         raise ValueError(f"{lam} does not fit in the {k} x {n - k} rectangle")

@@ -35,12 +35,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .kbruhat import _cover_swaps, _peakless_binomial, up_covers
-from .perm import Permutation, _swapped, from_code, grassmannian
+from .perm import Permutation, _check_k, _swapped, from_code, grassmannian
 from .qbruhat import QElement, _quantum_swaps, _raised
 
 __all__ = [
     "Poly",
-    "divided_difference",
     "schubert_poly",
     "schur_poly",
     "expand_in_schubert",
@@ -188,25 +187,6 @@ class Poly(_SparsePoly):
         return self.terms.get(_trim(tuple(exps)), 0)
 
 
-def divided_difference(p: Poly, i: int) -> Poly:
-    """The operator (f - s_i f) / (x_i - x_{i+1}), acting monomial by monomial."""
-    if i < 1:
-        raise ValueError("variable index must be positive")
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in p.terms.items():
-        e = list(exps) + [0] * (i + 1 - len(exps))
-        a, b = e[i - 1], e[i]
-        if a == b:
-            continue
-        sign = 1 if a > b else -1
-        lo, hi = min(a, b), max(a, b)
-        for t in range(lo, hi):
-            e[i - 1], e[i] = t, a + b - 1 - t
-            key = _trim(tuple(e))
-            out[key] = out.get(key, 0) + sign * c
-    return Poly(out)
-
-
 @lru_cache(maxsize=None)
 def _schubert_cached(word: tuple[int, ...]) -> Poly:
     w = Permutation(word)
@@ -349,11 +329,6 @@ class Expansion:
 #
 # A class q^alpha w is the tuple pair (alpha, w.word); ``quantum`` switches
 # the quantum edges on.
-
-
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
 
 
 def _check_hook_args(u: Permutation, a: int, b: int, k: int) -> None:

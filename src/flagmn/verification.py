@@ -57,7 +57,7 @@ from .perm import (
     parse_permutation,
     partitions,
 )
-from .qbruhat import QElement, is_minimal_interval, q_interval, q_up_covers
+from .qbruhat import QElement, is_minimal_interval, q_ij, q_interval, q_up_covers
 from .qschubert import (
     QLRQuery,
     fgp_product,
@@ -73,6 +73,7 @@ from .qschubert import (
     w0_element,
 )
 from .schubert import (
+    Expansion,
     hook_multiply_chains,
     hook_multiply_minimal,
     poly_product,
@@ -113,8 +114,10 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
     count, only the wall time does.
     """
     items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) < 2:
+    # a fork-started pool launches every worker at the first submit, so never
+    # ask for more than the machine's cores or the items can use
+    workers = min(_thread_count(), os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -185,28 +188,29 @@ def fixture_text(name: str) -> str:
     return (resources.files("flagmn") / "fixtures" / fname).read_text()
 
 
-def _matches_fixture(name: str) -> tuple[str, bool]:
-    same = REPRODUCIBLES[name]() == fixture_text(name)
-    return "reproduce != the bundled fixture", same
+def _matches_fixture(name: str, text: str) -> tuple[str, bool]:
+    return "reproduce != the bundled fixture", text == fixture_text(name)
 
 
 # -- worked examples (also the `reproduce` builders) ----------------------------
+#
+# Each ``_example`` helper computes its example once and returns the values its
+# check tests, then the text that ``reproduce`` prints (see REPRODUCIBLES).
 
 _Q_MONK_U = "1432"
 _Q_MONK_K = 2
 
 
-def q_monk_text() -> str:
+def _q_monk_example() -> tuple[Permutation, Expansion, str]:
     u = parse_permutation(_Q_MONK_U)
     exp = q_monk_multiply(u, _Q_MONK_K)
     head = f"S_{_Q_MONK_U} * S_s{_Q_MONK_K} in qH*Fl_{u.n}"
-    return head + "\n" + exp.text() + "\n"
+    return u, exp, head + "\n" + exp.text() + "\n"
 
 
 @_check("q-monk")
 def check_q_monk():
-    u = parse_permutation(_Q_MONK_U)
-    exp = q_monk_multiply(u, _Q_MONK_K)
+    u, exp, text = _q_monk_example()
     expected = {
         "3412": 1,
         "2431": 1,
@@ -218,7 +222,7 @@ def check_q_monk():
         f"u={u} k={_Q_MONK_K} class=s1",
         ("cover rule != the printed table", terms == expected),
         ("cover rule != fgp-oracle", fgp_product(u, (1,), _Q_MONK_K) == exp),
-        _matches_fixture("q-monk"),
+        _matches_fixture("q-monk", text),
     )
     return failure, "divisor product: cover rule = quantization oracle"
 
@@ -228,19 +232,19 @@ _MN_R = 4
 _MN_K = 5
 
 
-def mn_example_text() -> str:
+def _mn_example() -> tuple[Expansion, str]:
     exp = q_powersum_multiply(parse_permutation(_MN_U), _MN_R, _MN_K)
     head = f"S_{_MN_U} * p{_MN_R}(x_1..x_{_MN_K}) in qH*Fl_8"
-    return head + "\n" + exp.text() + "\n"
+    return exp, head + "\n" + exp.text() + "\n"
 
 
 @_check("mn-example")
 def check_mn_example():
-    exp = q_powersum_multiply(parse_permutation(_MN_U), _MN_R, _MN_K)
+    exp, text = _mn_example()
     failure = _first_failure(
         f"u={_MN_U} k={_MN_K} p{_MN_R}",
         (f"{len(exp)} terms, not 17", len(exp) == 17),
-        _matches_fixture("mn-example"),
+        _matches_fixture("mn-example", text),
     )
     detail = f"power sum in S_8[q]: {len(exp)} signed terms match the bundled table"
     return failure, detail
@@ -249,22 +253,18 @@ def check_mn_example():
 _QMIN_U = "68235741"
 _QMIN_W = "78251346"
 _QMIN_K = 5
+_QMIN_ALPHA = q_ij(5, 8, 8)
 
 
-def _qmin_alpha() -> tuple[int, ...]:
-    # q_{5,8} = q_5 q_6 q_7 in S_8
-    return tuple(1 if 5 <= i <= 7 else 0 for i in range(1, 8))
-
-
-def q_minimal_text() -> str:
+def _q_minimal_example() -> tuple[dict[tuple[int, ...], int], str]:
+    """The |lam| = 4 coefficients at (u, w, q_{5,8}), and the printed table."""
     u = parse_permutation(_QMIN_U)
     w = parse_permutation(_QMIN_W)
-    alpha = _qmin_alpha()
     lines = [
         f"N^(w,alpha)_(u,v(lam,{_QMIN_K})) for u = {u}, w = {w}, "
-        f"alpha = {_fmt_vec(alpha)} in S_8[q]"
+        f"alpha = {_fmt_vec(_QMIN_ALPHA)} in S_8[q]"
     ]
-    query = QLRQuery(u, w, alpha, (2, 2), _QMIN_K)
+    query = QLRQuery(u, w, _QMIN_ALPHA, (2, 2), _QMIN_K)
     lines.append("reduction path:")
     while any(query.alpha):
         step = ll_reduce_step(query)
@@ -276,13 +276,14 @@ def q_minimal_text() -> str:
             f"  i={i}  u={query.u}  w={query.w}  alpha={_fmt_vec(query.alpha)}"
         )
     lines.append("numerical parts at |lam| = 4:")
+    values = {}
     for lam in partitions(4):
         try:
-            val = quantum_lr(QLRQuery(u, w, alpha, lam, _QMIN_K))
+            values[lam] = quantum_lr(QLRQuery(u, w, _QMIN_ALPHA, lam, _QMIN_K))
         except ValueError:
-            val = 0  # shape has no Grassmannian class at this k
-        lines.append(f"  {_fmt_vec(lam):<12} {val}")
-    return "\n".join(lines) + "\n"
+            values[lam] = 0  # shape has no Grassmannian class at this k
+        lines.append(f"  {_fmt_vec(lam):<12} {values[lam]}")
+    return values, "\n".join(lines) + "\n"
 
 
 def _fmt_vec(v: Sequence[int]) -> str:
@@ -291,15 +292,7 @@ def _fmt_vec(v: Sequence[int]) -> str:
 
 @_check("q-minimal")
 def check_q_minimal():
-    u = parse_permutation(_QMIN_U)
-    w = parse_permutation(_QMIN_W)
-    alpha = _qmin_alpha()
-    values = {}
-    for lam in partitions(4):
-        try:
-            values[lam] = quantum_lr(QLRQuery(u, w, alpha, lam, _QMIN_K))
-        except ValueError:
-            values[lam] = 0
+    values, text = _q_minimal_example()
     expected = {
         (4,): 0,
         (3, 1): 0,
@@ -308,9 +301,9 @@ def check_q_minimal():
         (1, 1, 1, 1): 0,
     }
     failure = _first_failure(
-        f"u={u} w={w} k={_QMIN_K}",
+        f"u={_QMIN_U} w={_QMIN_W} k={_QMIN_K}",
         (f"ll-reduce {values} != the printed table", values == expected),
-        _matches_fixture("q-minimal"),
+        _matches_fixture("q-minimal", text),
     )
     return failure, "descent-exchange path and all |lam| = 4 coefficients as printed"
 
@@ -757,7 +750,7 @@ def figures_text() -> str:
 
 @_check("figures")
 def check_figures():
-    failure = _first_failure("figures", _matches_fixture("figures"))
+    failure = _first_failure("figures", _matches_fixture("figures", figures_text()))
     return failure, (
         "two classical intervals, the quantum layer table and four quantum"
         " intervals match the bundled drawings"
@@ -779,9 +772,9 @@ GROUPS: dict[str, tuple[str, ...]] = {
 }
 
 REPRODUCIBLES: dict[str, Callable[[], str]] = {
-    "q-monk": q_monk_text,
-    "mn-example": mn_example_text,
-    "q-minimal": q_minimal_text,
+    "q-monk": lambda: _q_monk_example()[-1],
+    "mn-example": lambda: _mn_example()[-1],
+    "q-minimal": lambda: _q_minimal_example()[-1],
     "figures": figures_text,
 }
 

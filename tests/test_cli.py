@@ -60,6 +60,15 @@ def test_ll_reduce_reaches_past_the_fgp_oracle(capsys):
     assert code == 0 and len(out.splitlines()) == 36
 
 
+def test_fgp_refusal_names_the_route_without_the_limit(capsys):
+    # the default quantum --lambda basis is fgp-oracle, which stops at S_7
+    args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: the FGP quantization oracle stops at S_7")
+    assert err.endswith("; ll_reduce_product (--basis ll-reduce) has no such limit\n")
+
+
 def test_classical_bases_agree(capsys):
     args = ("product", "--u", "41352", "--k", "3", "--hook", "2,2")
     code_a, text_a, _ = run(capsys, *args)

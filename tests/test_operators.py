@@ -11,19 +11,12 @@ from flagmn.operators import (
     _nonzero_outcomes,
     act,
     chain_word,
-    chains_word_bijection,
     classify,
     column_shift,
-    drop_position,
-    drop_wall,
     equivalent_words,
     first_witness,
     flatten_word,
     has_crossing_components,
-    insert_value,
-    insert_wall_zero,
-    iota_index,
-    iota_word,
     is_column,
     is_forest_word,
     is_path_word,
@@ -36,12 +29,8 @@ from flagmn.operators import (
     relation_table,
     rho_word,
     row_shift,
-    tau_index,
-    tau_word,
-    w0_word,
     word_components,
     word_diagram,
-    word_symmetries,
     word_to_dot,
     yellow_window,
 )
@@ -54,6 +43,18 @@ from flagmn.perm import (
 )
 from flagmn.qbruhat import QElement, parse_qelement, q_chains, q_up_covers
 from flagmn.qschubert import o_shift_element, w0_element
+from lemma_helpers import (
+    chains_word_bijection,
+    drop_position,
+    drop_wall,
+    insert_value,
+    insert_wall_zero,
+    iota_index,
+    iota_word,
+    tau_index,
+    tau_word,
+    w0_word,
+)
 
 
 def P(text):
@@ -352,9 +353,6 @@ def test_w0_and_rho():
     assert rho_word(w).letters == tuple(reversed(w.letters))
     # w0 swaps within letters, so it preserves classical/quantum type
     assert len(w0_word(w).quantum_letters()) == len(w.quantum_letters())
-    syms = word_symmetries(w)
-    assert set(syms) == {"o", "w0", "rho"}
-    assert syms["rho"] == rho_word(w)
 
 
 def test_tau_iota_on_letters():

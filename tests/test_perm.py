@@ -23,6 +23,10 @@ from flagmn.perm import (
     parse_permutation,
     partitions,
 )
+import flagmn as fm
+from flagmn.kbruhat import up_covers
+from flagmn.qbruhat import q_leq, q_up_covers, quantum_up_covers
+from flagmn.qschubert import quantum_schur
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
 ZETA2 = from_cycles([(1, 7, 4), (3, 6)], 7)
@@ -201,3 +205,41 @@ def test_str_large_n():
     w = identity(11).swap_positions(10, 11)
     assert str(w) == "1,2,3,4,5,6,7,8,9,11,10"
     assert parse_permutation(str(w)) == w
+
+
+# -- the one k-range rule ------------------------------------------------------
+
+U4 = Permutation((1, 4, 3, 2))
+TOP4 = fm.QElement((0, 0, 0), U4)  # u is its own top: the empty interval
+K_RULE = {
+    "interval": lambda k: fm.interval(U4, U4, k),
+    "chains": lambda k: list(fm.chains(U4, U4, k)),
+    "leq_k": lambda k: fm.leq_k(U4, U4, k),
+    "up_covers": lambda k: up_covers(U4, k),
+    "quantum_up_covers": lambda k: quantum_up_covers(U4, k),
+    "q_up_covers": lambda k: q_up_covers(TOP4, k),
+    "q_interval": lambda k: fm.q_interval(U4, TOP4, k),
+    "q_chains": lambda k: list(fm.q_chains(U4, TOP4, k)),
+    "q_leq": lambda k: q_leq(U4, TOP4, k),
+    "act": lambda k: fm.act(fm.OperatorWord(4, ((1, 2),)), U4, k),
+    "monk_multiply": lambda k: fm.monk_multiply(U4, k),
+    "hook_multiply_chains": lambda k: fm.hook_multiply_chains(U4, 1, 1, k),
+    "hook_multiply_minimal": lambda k: fm.hook_multiply_minimal(U4, 1, 1, k),
+    "powersum_multiply": lambda k: fm.powersum_multiply(U4, 1, k),
+    "schur_multiply": lambda k: fm.schur_multiply(U4, (1,), k),
+    "q_monk_multiply": lambda k: fm.q_monk_multiply(U4, k),
+    "q_hook_multiply": lambda k: fm.q_hook_multiply(U4, 1, 1, k),
+    "q_powersum_multiply": lambda k: fm.q_powersum_multiply(U4, 1, k),
+    "q_schur_multiply": lambda k: fm.q_schur_multiply(U4, (1,), k),
+    "quantum_schur": lambda k: quantum_schur((1,), k, 4),
+    "ll_reduce_product": lambda k: fm.ll_reduce_product(U4, (1,), k),
+    "fgp_product": lambda k: fm.fgp_product(U4, (1,), k),
+    "QLRQuery": lambda k: fm.QLRQuery(U4, U4, (0, 0, 0), (1,), k),
+}
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("name", list(K_RULE))
+def test_every_k_function_states_the_one_k_rule(name, k):
+    with pytest.raises(ValueError, match=rf"^k must be in 1\.\.3, got {k}$"):
+        K_RULE[name](k)

@@ -16,7 +16,6 @@ from flagmn.qbruhat import QElement
 from flagmn.schubert import (
     Expansion,
     Poly,
-    divided_difference,
     expand_in_schubert,
     hook_multiply_chains,
     hook_multiply_minimal,
@@ -28,6 +27,7 @@ from flagmn.schubert import (
     schur_poly,
     x_times,
 )
+from lemma_helpers import divided_difference
 
 
 def poly_of(d):

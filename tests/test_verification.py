@@ -41,6 +41,35 @@ def test_sweep_runs_each_distinct_case_once(monkeypatch):
     assert calls == [3, 1, 2]
 
 
+def test_parallel_map_caps_the_worker_count(monkeypatch):
+    # a fake pool records the size asked for, so no process is started
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 4)
+    for threads, items, want in (("1000", 10, 4), ("1000", 3, 3), ("2", 10, 2)):
+        monkeypatch.setenv("FLAGMN_THREADS", threads)
+        assert verification.parallel_map(abs, range(-items, 0)) == list(
+            range(items, 0, -1)
+        )
+        assert asked.pop() == want
+    monkeypatch.setenv("FLAGMN_THREADS", "1000")
+    assert verification.parallel_map(abs, [-5]) == [5] and not asked
+
+
 def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
     assert verification._classical_oracle_worker((2, 1, 3)) == (4, None)
     real = verification.hook_multiply_minimal
