@@ -5,8 +5,9 @@ k-Bruhat order when that cover exists and to zero otherwise; quantum letters
 (a > b) pick up the monomial q_{i,j} of the positions swapped.  Words compose
 letters, and everything downstream of the action -- zero-equivalence, the
 two-letter relation table, the path/row/column/tree/forest taxonomy, and the
-row-times-column decomposition -- is decided semantically, by brute force over
-the symmetric group the size of the word's support.  The relations the letters
+row-times-column decomposition -- is decided semantically, by exhaustive
+search over the symmetric group the size of the word's support, pruned on
+one-line prefixes that no completion can make act.  The relations the letters
 satisfy are verified, never used as a rewriting system.  The relabelings here
 are the two the row/column taxonomy uses, the cyclic shift and the reversal of
 the order of application; ``chain_word`` reads a word off a saturated chain.
@@ -215,23 +216,82 @@ def act(
 # zero-equivalence and (u,k)-equivalence, decided semantically
 
 
+def _live_prefix(
+    app: Sequence[tuple[int, int]], prefix: Sequence[int], n: int
+) -> bool:
+    """Whether some u in S_n starting with ``prefix`` can make the word act.
+
+    Letters name their values, so positions 1..p hold known values after
+    every letter (a, b) and the kernel runs on them.  With b placed and a
+    not, a lies after b and the letter kills every completion.  With a
+    placed, the placed values after a are tested, and an unplaced b takes
+    a's place while a leaves the prefix.  An unplaced a counts as position
+    p + 1 for lo, an unplaced b as n for hi.  No completion of a refused
+    prefix acts, and at p = n - 1 the answer is the kernel's own.
+    """
+    p = len(prefix)
+    # an unplaced b has j = 0: w[i : j - 1] then stops at position p, and
+    # a, moved to w[j - 1], lands in the spare slot after it
+    w = [*prefix, 0]
+    pos = [0] * (n + 1)
+    for i, v in enumerate(prefix, 1):
+        pos[v] = i
+    lo, hi = 1, n
+    for a, b in app:
+        i = pos[a]
+        j = pos[b]
+        if not i:
+            if j:
+                return False
+            i = p + 1
+        if i > lo:
+            lo = i
+        if j and j < hi:
+            hi = j
+        if lo >= hi:
+            return False
+        if i > p:
+            continue
+        if a < b:
+            for m in w[i : j - 1]:
+                if a < m < b:
+                    return False
+        else:
+            for m in w[i : j - 1]:
+                if not b < m < a:
+                    return False
+        w[i - 1], w[j - 1] = b, a
+        pos[a], pos[b] = j, i
+    return True
+
+
 def _nonzero_outcomes(word: OperatorWord) -> Iterator[tuple]:
     """(u, k, (inc, image)) for every nonzero kernel outcome of the word.
 
     u runs over S_n as one-line tuples in lexicographic order, then k upward
-    through the kernel's range lo <= k < hi.  A u with b before a, for the
-    first-applied letter (a, b), has an empty range and is skipped unrun.
+    through the kernel's range lo <= k < hi, the order of a full scan.  The
+    search is exhaustive over S_n, pruned on one-line prefixes that no
+    completion can make act; each u reached is run through the kernel.
     """
-    app = word.application_order
-    a, b = app[0] if app else (None, None)
-    for u in itertools.permutations(range(1, word.n + 1)):
-        if app and u.index(a) > u.index(b):
-            continue
-        out = _act_word(app, u)
-        if out is not None:
-            lo, hi, inc, image = out
-            for k in range(lo, hi):
-                yield u, k, (inc, image)
+    app, n = word.application_order, word.n
+
+    def extend(prefix: list[int]) -> Iterator[tuple]:
+        for v in range(1, n + 1):
+            if v in prefix:
+                continue
+            prefix.append(v)
+            if len(prefix) == n:
+                u = tuple(prefix)
+                out = _act_word(app, u)
+                if out is not None:
+                    lo, hi, inc, image = out
+                    for k in range(lo, hi):
+                        yield u, k, (inc, image)
+            elif _live_prefix(app, prefix, n):
+                yield from extend(prefix)
+            prefix.pop()
+
+    return extend([])
 
 
 def first_witness(word: OperatorWord) -> tuple[Permutation, int] | None:
@@ -269,8 +329,10 @@ def _flat_is_zero(flat: OperatorWord) -> bool:
 def is_zero_word(word: OperatorWord) -> bool:
     """Whether the word kills every element at every k.
 
-    Decided by brute force over the flattened ambient: all u in S_m and all
-    k < m with m the support size.  The empty word is the identity, not zero.
+    Decided by exhaustive search over the flattened ambient S_m, m the
+    support size, pruned on one-line prefixes that no completion can make
+    act; every u left is tried at every k < m.  The empty word is the
+    identity, not zero.
     """
     if not word.letters:
         return False
@@ -446,7 +508,7 @@ def classify(word: OperatorWord) -> str:
     "row", "column", "tree", "forest", "other".  Crossing components are
     reported before zeroness (such words are also zero when the components
     are connected and minimal).  Rows and columns always act somewhere, so
-    their zeroness is never brute-forced; a path-shaped word that is neither
+    their zeroness is never searched; a path-shaped word that is neither
     is zero by the path theorem, while a nonzero path carrying two quantum
     letters, or shifting to a row and a column at once, would be a theorem
     violation and is reported loudly.

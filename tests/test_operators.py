@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagmn import operators
 from flagmn.kbruhat import Chain, crossing
 from flagmn.operators import (
     OperatorWord,
@@ -43,6 +44,7 @@ from flagmn.perm import (
 )
 from flagmn.qbruhat import QElement, parse_qelement, q_chains, q_up_covers
 from flagmn.qschubert import o_shift_element, w0_element
+from flagmn.verification import _FOREST_DRAWS, _SEED_FOREST, _random_forest_words
 from lemma_helpers import (
     chains_word_bijection,
     drop_position,
@@ -234,6 +236,100 @@ def test_nonzero_outcomes_are_the_k_ranges_of_a_cover_walk():
                 assert len(want) == 24 * 3
             words += 1
     assert words == 1 + 12 + 12**2 + 12**3
+
+
+def _full_scan_outcomes(word):
+    """The unpruned search: the kernel on every u in S_n, lexicographically.
+
+    Kept as the reference the prefix-pruned ``_nonzero_outcomes`` must
+    reproduce tuple for tuple.
+    """
+    app = word.application_order
+    for u in itertools.permutations(range(1, word.n + 1)):
+        out = operators._act_word(app, u)
+        if out is not None:
+            lo, hi, inc, image = out
+            for k in range(lo, hi):
+                yield u, k, (inc, image)
+
+
+def _words_up_to_three_letters(n):
+    letters = list(itertools.permutations(range(1, n + 1), 2))
+    for size in range(4):
+        for app in itertools.product(letters, repeat=size):
+            yield OperatorWord.from_application(n, app)
+
+
+def _seeded_words(rng, n, sizes, count):
+    letters = list(itertools.permutations(range(1, n + 1), 2))
+    return [
+        OperatorWord(n, tuple(rng.choices(letters, k=rng.choice(sizes))))
+        for _ in range(count)
+    ]
+
+
+def test_pruned_search_yields_the_full_scan_stream():
+    rng = random.Random(2024)
+    words = list(_words_up_to_three_letters(4))
+    for n in (5, 6, 7):
+        words += _seeded_words(rng, n, (4, 5, 6), 40 if n < 7 else 12)
+    forests = set(_random_forest_words(_FOREST_DRAWS, _SEED_FOREST))
+    words += [OperatorWord(n, letters) for n, letters in sorted(forests)]
+    assert len(forests) == 2144
+    for word in words:
+        want = list(_full_scan_outcomes(word))
+        assert list(_nonzero_outcomes(word)) == want, str(word)
+
+
+def _check_prune_on(word):
+    # no completion of a refused prefix acts; at length n - 1 the prune is
+    # exact, since the one value left sits at position n
+    n, app = word.n, word.application_order
+    acting = {
+        u
+        for u in itertools.permutations(range(1, n + 1))
+        if operators._act_word(app, u) is not None
+    }
+    refused = 0
+    for p in range(n):
+        for prefix in itertools.permutations(range(1, n + 1), p):
+            live = operators._live_prefix(app, prefix, n)
+            extended = any(u[:p] == prefix for u in acting)
+            if p == n - 1:
+                assert live == extended, (str(word), prefix)
+            elif not live:
+                assert not extended, (str(word), prefix)
+            refused += not live
+    return refused
+
+
+def test_prune_never_refuses_a_live_prefix():
+    refused = sum(_check_prune_on(w) for w in _words_up_to_three_letters(4))
+    rng = random.Random(7)
+    sample = _seeded_words(rng, 5, (1, 2, 3, 4, 5), 150)
+    refused += sum(_check_prune_on(w) for w in sample)
+    assert refused > 0
+
+
+def test_zero_word_search_is_pruned(monkeypatch):
+    # the full scan runs the kernel on the 9!/2 = 181,440 u with 9 before 1
+    calls = []
+    kernel, prune = operators._act_word, operators._live_prefix
+
+    def count(f):
+        def wrapper(*args):
+            calls.append(f)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(operators, "_act_word", count(kernel))
+    monkeypatch.setattr(operators, "_live_prefix", count(prune))
+    operators._flat_is_zero.cache_clear()
+    word = W("v(1,5) v(2,6) v(3,7) v(4,8) v(9,1)", 9)
+    assert is_zero_word(word)
+    assert calls.count(kernel) < 1000
+    assert len(calls) < 1000
 
 
 def test_action_validation():
