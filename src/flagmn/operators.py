@@ -7,10 +7,13 @@ letters, and everything downstream of the action -- zero-equivalence, the
 two-letter relation table, the path/row/column/tree/forest taxonomy, and the
 row-times-column decomposition -- is decided semantically, by exhaustive
 search over the symmetric group the size of the word's support, pruned on
-one-line prefixes that no completion can make act.  The relations the letters
-satisfy are verified, never used as a rewriting system.  The relabelings here
-are the two the row/column taxonomy uses, the cyclic shift and the reversal of
-the order of application; ``chain_word`` reads a word off a saturated chain.
+one-line prefixes that no completion can make act.  One kernel, ``_act_word``,
+states the letter-cover test: on a whole one-line word it gives the action,
+and on a shorter prefix None means that no completion acts.  The relations
+the letters satisfy are verified, never used as a rewriting system.  The
+relabelings here are the two the row/column taxonomy uses, the cyclic shift
+and the reversal of the order of application; the taxonomy itself runs on
+plain letter tuples.  ``chain_word`` reads a word off a saturated chain.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
-from .perm import Permutation, _check_k, all_permutations, cyclic_shift, identity
+from .perm import Permutation, _check_k, all_permutations
 from .qbruhat import QElement, q_chains
 
 __all__ = [
@@ -99,25 +102,13 @@ class OperatorWord:
         return " ".join(f"v({a},{b})" for a, b in self.letters)
 
     def support(self) -> frozenset[int]:
-        return frozenset(v for letter in self.letters for v in letter)
+        return _support(self.letters)
 
     def quantum_letters(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, b) for a, b in self.letters if a > b)
 
     def is_classical(self) -> bool:
         return all(a < b for a, b in self.letters)
-
-    def zeta(self) -> Permutation:
-        """The product of the letter transpositions (rightmost applied first)."""
-        z = identity(self.n)
-        for a, b in self.letters:
-            z = z * identity(self.n).swap_values(a, b)
-        return z
-
-    def is_minimal(self) -> bool:
-        """Whether the letter count is least possible for this zeta."""
-        z = self.zeta()
-        return len(self.letters) == len(z.support()) - z.num_cycles()
 
 
 _LETTER_RE = re.compile(r"v\s*_?\s*[({]?\s*(\d+)\s*[,;]\s*(\d+)\s*[)}]?")
@@ -142,9 +133,9 @@ def parse_word(text: str, n: int) -> OperatorWord:
 
 
 def _act_word(
-    app: Sequence[tuple[int, int]], word: Sequence[int]
+    app: Sequence[tuple[int, int]], prefix: Sequence[int], n: int
 ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
-    """The action on a one-line word at every k: None, or (lo, hi, inc, image).
+    """The action on a one-line prefix at every k: None, or (lo, hi, inc, image).
 
     ``app`` lists the letters in application order.  Writing i, j for the
     positions of a, b, a letter acts only when i <= k < j and the swap is a
@@ -153,25 +144,37 @@ def _act_word(
     and a in the quantum case a > b, which also adds q_{i,j}.  Only the test
     on k reads k, so the word acts exactly at lo <= k < hi, lo the largest i
     and hi the smallest j, with the same alpha increments ``inc`` and the
-    same ``image`` at each such k.  Nothing is validated or built until the
-    end; ``act`` is the public entry.
+    same ``image`` at each such k.
+
+    That is the action on a whole word of S_n.  On a prefix of p < n values
+    None means that no completion acts, exactly so at p = n - 1; any other
+    value only says that some completion may.  Letters name their values,
+    so positions 1..p stay known after every letter (a, b).  An unplaced a
+    counts as position p + 1 for lo, an unplaced b as n for hi: b placed
+    with a not is refused there, and a placed with b not is tested on the
+    placed values after a, b taking a's place.  Nothing is validated;
+    ``act`` is the public entry.
     """
-    w = list(word)
-    n = len(w)
+    p = len(prefix)
+    # an unplaced b has j = 0: w[i : j - 1] then stops at position p, and
+    # a, moved to w[j - 1], lands in the spare slot after it
+    w = [*prefix, 0]
     pos = [0] * (n + 1)
-    for i, v in enumerate(w, 1):
+    for i, v in enumerate(prefix, 1):
         pos[v] = i
     inc = [0] * (n - 1)
     lo, hi = 1, n
     for a, b in app:
-        i = pos[a]
+        i = pos[a] or p + 1
         j = pos[b]
         if i > lo:
             lo = i
-        if j < hi:
+        if 0 < j < hi:
             hi = j
         if lo >= hi:
             return None
+        if i > p:
+            continue
         if a < b:
             for m in w[i : j - 1]:
                 if a < m < b:
@@ -184,7 +187,7 @@ def _act_word(
                 inc[wall] += 1
         w[i - 1], w[j - 1] = b, a
         pos[a], pos[b] = j, i
-    return lo, hi, tuple(inc), tuple(w)
+    return lo, hi, tuple(inc), tuple(w[:p])
 
 
 def act(
@@ -203,7 +206,7 @@ def act(
     if word.n != u.n:
         raise ValueError(f"word over 1..{word.n} cannot act on S_{u.n}")
     _check_k(u.n, k)
-    out = _act_word(word.application_order, u.word)
+    out = _act_word(word.application_order, u.word, u.n)
     if out is None or not out[0] <= k < out[1]:
         return None
     inc, image = out[2:]
@@ -216,62 +219,14 @@ def act(
 # zero-equivalence and (u,k)-equivalence, decided semantically
 
 
-def _live_prefix(
-    app: Sequence[tuple[int, int]], prefix: Sequence[int], n: int
-) -> bool:
-    """Whether some u in S_n starting with ``prefix`` can make the word act.
-
-    Letters name their values, so positions 1..p hold known values after
-    every letter (a, b) and the kernel runs on them.  With b placed and a
-    not, a lies after b and the letter kills every completion.  With a
-    placed, the placed values after a are tested, and an unplaced b takes
-    a's place while a leaves the prefix.  An unplaced a counts as position
-    p + 1 for lo, an unplaced b as n for hi.  No completion of a refused
-    prefix acts, and at p = n - 1 the answer is the kernel's own.
-    """
-    p = len(prefix)
-    # an unplaced b has j = 0: w[i : j - 1] then stops at position p, and
-    # a, moved to w[j - 1], lands in the spare slot after it
-    w = [*prefix, 0]
-    pos = [0] * (n + 1)
-    for i, v in enumerate(prefix, 1):
-        pos[v] = i
-    lo, hi = 1, n
-    for a, b in app:
-        i = pos[a]
-        j = pos[b]
-        if not i:
-            if j:
-                return False
-            i = p + 1
-        if i > lo:
-            lo = i
-        if j and j < hi:
-            hi = j
-        if lo >= hi:
-            return False
-        if i > p:
-            continue
-        if a < b:
-            for m in w[i : j - 1]:
-                if a < m < b:
-                    return False
-        else:
-            for m in w[i : j - 1]:
-                if not b < m < a:
-                    return False
-        w[i - 1], w[j - 1] = b, a
-        pos[a], pos[b] = j, i
-    return True
-
-
 def _nonzero_outcomes(word: OperatorWord) -> Iterator[tuple]:
     """(u, k, (inc, image)) for every nonzero kernel outcome of the word.
 
     u runs over S_n as one-line tuples in lexicographic order, then k upward
     through the kernel's range lo <= k < hi, the order of a full scan.  The
-    search is exhaustive over S_n, pruned on one-line prefixes that no
-    completion can make act; each u reached is run through the kernel.
+    search is exhaustive over S_n, depth first over one-line prefixes with
+    one kernel call per prefix: a refused prefix is dropped with all its
+    completions, and each whole u reached yields the kernel's outcome.
     """
     app, n = word.application_order, word.n
 
@@ -280,15 +235,15 @@ def _nonzero_outcomes(word: OperatorWord) -> Iterator[tuple]:
             if v in prefix:
                 continue
             prefix.append(v)
-            if len(prefix) == n:
-                u = tuple(prefix)
-                out = _act_word(app, u)
-                if out is not None:
+            out = _act_word(app, prefix, n)
+            if out is not None:
+                if len(prefix) < n:
+                    yield from extend(prefix)
+                else:
+                    u = tuple(prefix)
                     lo, hi, inc, image = out
                     for k in range(lo, hi):
                         yield u, k, (inc, image)
-            elif _live_prefix(app, prefix, n):
-                yield from extend(prefix)
             prefix.pop()
 
     return extend([])
@@ -355,21 +310,20 @@ def equivalent_words(v: OperatorWord, w: OperatorWord) -> bool:
 # relabelings: cyclic shift and reversal
 
 
+def _shifted(
+    letters: Iterable[tuple[int, int]], r: int, n: int
+) -> tuple[tuple[int, int], ...]:
+    """Relabel letters through the cyclic shift r times: v -> (v - 1 + r) % n + 1."""
+    return tuple(((a - 1 + r) % n + 1, (b - 1 + r) % n + 1) for a, b in letters)
+
+
 def o_shift_word(word: OperatorWord, power: int = 1) -> OperatorWord:
     """Relabel every letter through the cyclic shift, ``power`` times.
 
     The shift is the unique relabeling exchanging classical and quantum kinds
     exactly on the letters touching n.
     """
-    n = word.n
-    r = power % n
-    return OperatorWord(
-        n,
-        tuple(
-            ((a - 1 + r) % n + 1, (b - 1 + r) % n + 1)
-            for a, b in word.letters
-        ),
-    )
+    return OperatorWord(word.n, _shifted(word.letters, power, word.n))
 
 
 def rho_word(word: OperatorWord) -> OperatorWord:
@@ -378,14 +332,18 @@ def rho_word(word: OperatorWord) -> OperatorWord:
 
 
 # ---------------------------------------------------------------------------
-# the graph of a word and its taxonomy
+# the graph of a word and its taxonomy, on plain letter tuples
 
 
-def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
-    """Connected components of the word's graph, as subwords.
+def _support(letters: Iterable[tuple[int, int]]) -> frozenset[int]:
+    return frozenset(v for letter in letters for v in letter)
+
+
+def _components(letters: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Connected components of the letters' graph, as letter lists.
 
     Letters keep their relative order inside each component; components are
-    sorted by smallest support value and keep the ambient n.
+    sorted by smallest support value.
     """
     parent: dict[int, int] = {}
 
@@ -396,33 +354,39 @@ def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
             v = parent[v]
         return v
 
-    for a, b in word.letters:
+    for a, b in letters:
         parent[find(a)] = find(b)
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for a, b in word.letters:
+    for a, b in letters:
         buckets.setdefault(find(a), []).append((a, b))
-    ordered = sorted(buckets.values(), key=lambda ls: min(min(l) for l in ls))
-    return tuple(OperatorWord(word.n, tuple(ls)) for ls in ordered)
+    return sorted(buckets.values(), key=lambda ls: min(min(l) for l in ls))
 
 
-def _components_cross(comps: Sequence[OperatorWord]) -> bool:
+def _components_cross(comps: Sequence[Sequence[tuple[int, int]]]) -> bool:
     return any(
-        crossing(c.support(), d.support())
+        crossing(_support(c), _support(d))
         for c, d in itertools.combinations(comps, 2)
     )
 
 
+def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
+    """Connected components of the word's graph, as subwords.
+
+    Letters keep their relative order inside each component; components are
+    sorted by smallest support value and keep the ambient n.
+    """
+    return tuple(OperatorWord(word.n, tuple(c)) for c in _components(word.letters))
+
+
 def has_crossing_components(word: OperatorWord) -> bool:
     """Whether two connected components have crossing supports."""
-    return _components_cross(word_components(word))
+    return _components_cross(_components(word.letters))
 
 
 def is_tree_word(word: OperatorWord) -> bool:
     """Whether the multigraph is a tree: connected with #letters = #supp - 1."""
-    if not word.letters:
-        return False
     return (
-        len(word_components(word)) == 1
+        len(_components(word.letters)) == 1
         and len(word.letters) == len(word.support()) - 1
     )
 
@@ -433,8 +397,8 @@ def is_forest_word(word: OperatorWord) -> bool:
     This is the graph shape only; whether the word also acts nonzero is a
     separate (semantic) question.
     """
-    comps = word_components(word)
-    if any(len(c.letters) != len(c.support()) - 1 for c in comps):
+    comps = _components(word.letters)
+    if any(len(c) != len(_support(c)) - 1 for c in comps):
         return False
     return not _components_cross(comps)
 
@@ -446,7 +410,7 @@ def is_path_word(word: OperatorWord) -> bool:
     and the first letter applied must contain an endpoint of the path.  Shape
     only; zero words can have this shape.
     """
-    if not word.letters or not is_tree_word(word):
+    if not is_tree_word(word):
         return False
     degree = Counter(v for letter in word.letters for v in letter)
     if any(d > 2 for d in degree.values()):
@@ -464,12 +428,19 @@ def _chain_linked(app: Sequence[tuple[int, int]]) -> bool:
     return all(nxt[0] == prev[1] for prev, nxt in zip(app, app[1:]))
 
 
-def _is_classical_row(word: OperatorWord) -> bool:
-    if not word.is_classical():
+def _is_classical_row(app: Sequence[tuple[int, int]]) -> bool:
+    """Whether letters listed in application order form a classical row."""
+    if any(a > b for a, b in app):
         return False
-    comps = word_components(word)
-    linked = all(_chain_linked(c.application_order) for c in comps)
-    return linked and not _components_cross(comps)
+    comps = _components(app)
+    return all(map(_chain_linked, comps)) and not _components_cross(comps)
+
+
+def _row_shift(app: Sequence[tuple[int, int]], n: int) -> int | None:
+    for r in range(n):
+        if _is_classical_row(_shifted(app, r, n)):
+            return r
+    return None
 
 
 def row_shift(word: OperatorWord) -> int | None:
@@ -479,18 +450,16 @@ def row_shift(word: OperatorWord) -> int | None:
     classical letters; chains from different components may interleave, since
     such letters commute.
     """
-    for r in range(word.n):
-        if _is_classical_row(o_shift_word(word, r)):
-            return r
-    return None
+    return _row_shift(word.application_order, word.n)
 
 
 def column_shift(word: OperatorWord) -> int | None:
     """The least cyclic-shift power making the word a classical column, if any.
 
-    A column is a row applied in the reverse order.
+    A column is a row applied in the reverse order, so its application order
+    is the word's composition order.
     """
-    return row_shift(rho_word(word))
+    return _row_shift(word.letters, word.n)
 
 
 def is_row(word: OperatorWord) -> bool:
@@ -558,9 +527,6 @@ def relation_table() -> dict[str, dict[str, object]]:
     """
     report: dict[str, dict[str, object]] = {}
 
-    def word2(n: int, l1: tuple[int, int], l2: tuple[int, int]) -> OperatorWord:
-        return OperatorWord(n, (l1, l2))
-
     # -- disjoint supports ---------------------------------------------------
     disjoint: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for half in itertools.combinations(range(1, 5), 2):
@@ -591,20 +557,20 @@ def relation_table() -> dict[str, dict[str, object]]:
     report["crossing_pairs"] = {
         "words": len(cross),
         "ok": len(cross) == 8
-        and all(is_zero_word(word2(4, *p)) for p in cross),
+        and all(is_zero_word(OperatorWord(4, p)) for p in cross),
     }
     report["mixed_nested_pairs"] = {
         "words": len(nested),
         "ok": len(nested) == 4
-        and all(is_zero_word(word2(4, *p)) for p in nested),
+        and all(is_zero_word(OperatorWord(4, p)) for p in nested),
     }
     report["disjoint_free_pairs"] = {
         "words": len(free),
         "ok": len(free) == 12
         and all(
-            not is_zero_word(word2(4, l1, l2))
-            and equivalent_words(word2(4, l1, l2), word2(4, l2, l1))
-            for l1, l2 in free
+            not is_zero_word(OperatorWord(4, p))
+            and equivalent_words(OperatorWord(4, p), OperatorWord(4, p[::-1]))
+            for p in free
         ),
     }
 
@@ -644,13 +610,13 @@ def relation_table() -> dict[str, dict[str, object]]:
     report["zero_chain_triples"] = {
         "words": len(zero_chains),
         "ok": partition_ok
-        and all(is_zero_word(word2(3, *p)) for p in zero_chains),
+        and all(is_zero_word(OperatorWord(3, p)) for p in zero_chains),
     }
     report["shared_endpoint_pairs"] = {
         "words": len(endpoint),
-        "ok": all(is_zero_word(word2(3, *p)) for p in endpoint),
+        "ok": all(is_zero_word(OperatorWord(3, p)) for p in endpoint),
     }
-    live = [word2(3, *p) for p in sorted(live_chains)]
+    live = [OperatorWord(3, p) for p in sorted(live_chains)]
     report["live_chain_triples"] = {
         "words": len(live),
         "ok": all(not is_zero_word(w) for w in live)
@@ -664,12 +630,12 @@ def relation_table() -> dict[str, dict[str, object]]:
     report["squares"] = {
         "words": 2,
         "ok": all(
-            is_zero_word(word2(2, l, l)) for l in ((1, 2), (2, 1))
+            is_zero_word(OperatorWord(2, (l, l))) for l in ((1, 2), (2, 1))
         ),
     }
     near_ok = True
     for a, b in ((1, 2), (2, 1)):
-        w = word2(2, (a, b), (b, a))
+        w = OperatorWord(2, ((a, b), (b, a)))
         # multiplication by q_k exactly when (u(k), u(k+1)) is the
         # first-applied letter (b, a); both orientations force the pair
         # adjacent across wall k, so one quantum and one classical step
@@ -705,13 +671,6 @@ def chain_word(chain: Chain, n: int) -> OperatorWord:
 # row-times-column decomposition
 
 
-def _o_power_perm(u: Permutation, r: int) -> Permutation:
-    o = cyclic_shift(u.n)
-    for _ in range(r % u.n):
-        u = o * u
-    return u
-
-
 def rc_decompose(
     word: OperatorWord, u: Permutation, k: int
 ) -> tuple[OperatorWord, OperatorWord, int]:
@@ -734,18 +693,20 @@ def rc_decompose(
     for chain in q_chains(u, target, k):
         app = chain_word(chain, n).application_order
         for cut in range(len(app) + 1):
-            col = OperatorWord.from_application(n, app[:cut])
-            row = OperatorWord.from_application(n, app[cut:])
+            col, row = app[:cut], app[cut:]
             for r in range(n):
                 if not (
-                    _is_classical_row(rho_word(o_shift_word(col, r)))
-                    and _is_classical_row(o_shift_word(row, r))
+                    _is_classical_row(_shifted(col[::-1], r, n))
+                    and _is_classical_row(_shifted(row, r, n))
                 ):
                     continue
-                whole = OperatorWord(n, row.letters + col.letters)
-                if act(o_shift_word(whole, r), _o_power_perm(u, r), k) is None:
+                # the cyclic shift acts on u by values, as on the letters
+                shifted_u = tuple((v - 1 + r) % n + 1 for v in u.word)
+                out = _act_word(_shifted(app, r, n), shifted_u, n)
+                if out is None or not out[0] <= k < out[1]:
                     continue
-                return row, col, r
+                R, C = (OperatorWord.from_application(n, ls) for ls in (row, col))
+                return R, C, r
     raise RuntimeError(
         f"no row-times-column chain for {word} on {u} at k = {k}; "
         "this contradicts the decomposition theorem"
@@ -767,11 +728,7 @@ def yellow_window(word: OperatorWord) -> tuple[tuple[int, int], ...]:
     spans = [(min(a, b), max(a, b), a > b) for a, b in word.letters]
     out = []
     for i in range(1, word.n):
-        inside = [(lo <= i and i + 1 <= hi) for lo, hi, _ in spans]
-        if all(
-            ok == quantum
-            for ok, (_, _, quantum) in zip(inside, spans)
-        ):
+        if all((lo <= i < hi) == quantum for lo, hi, quantum in spans):
             out.append((i, i + 1))
     return tuple(out)
 

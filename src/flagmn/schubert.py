@@ -197,9 +197,10 @@ def _schubert_cached(word: tuple[int, ...]) -> Poly:
     s = max(j for j in range(r + 1, w.n + 1) if w(j) < w(r))
     v = w.swap_positions(r, s)
     p = _schubert_cached(v.trim().word).times_x(r)
-    for i in range(1, r):
-        if v(i) < v(r) and not any(v(i) < v(l) < v(r) for l in range(i + 1, r)):
-            p = p + _schubert_cached(v.swap_positions(i, r).trim().word)
+    # the transition terms: the (r-1)-Bruhat covers of v moving position r
+    for i, l in _cover_swaps(v.word, r - 1):
+        if l == r - 1:
+            p = p + _schubert_cached(v.swap_positions(i + 1, r).trim().word)
     return p
 
 

@@ -1,17 +1,18 @@
 """Reference helpers that only the lemma tests use.
 
 Index relabelings of words and permutations (delete or insert a strand),
-the w0 relabeling of words, the chain/word bijection, the noncrossing
-factorization of a permutation and the divided difference operator.  The
-package itself never needs them, so they live here, next to the tests that
-check the lemmas they state.
+the w0 relabeling of words, the product of a word's letter transpositions
+and its minimality, the chain/word bijection, the noncrossing factorization
+of a permutation and the divided difference operator.  The package itself
+never needs them, so they live here, next to the tests that check the
+lemmas they state.
 """
 
 from __future__ import annotations
 
 from flagmn.kbruhat import Chain, crossing
 from flagmn.operators import OperatorWord, act, chain_word
-from flagmn.perm import Permutation, flatten, from_cycles
+from flagmn.perm import Permutation, flatten, from_cycles, identity
 from flagmn.qbruhat import QElement, q_chains
 from flagmn.schubert import Poly, _trim
 
@@ -82,6 +83,20 @@ def w0_word(word: OperatorWord) -> OperatorWord:
     """Reverse the index line: v(a,b) -> v(n+1-b, n+1-a), kinds preserved."""
     n = word.n
     return OperatorWord(n, tuple((n + 1 - b, n + 1 - a) for a, b in word.letters))
+
+
+def word_zeta(word: OperatorWord) -> Permutation:
+    """The product of the letter transpositions (rightmost applied first)."""
+    z = identity(word.n)
+    for a, b in word.letters:
+        z = z * identity(word.n).swap_values(a, b)
+    return z
+
+
+def is_minimal_word(word: OperatorWord) -> bool:
+    """Whether the letter count is least possible for this zeta."""
+    z = word_zeta(word)
+    return len(word.letters) == len(z.support()) - z.num_cycles()
 
 
 def chains_word_bijection(

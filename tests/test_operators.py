@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -44,7 +45,12 @@ from flagmn.perm import (
 )
 from flagmn.qbruhat import QElement, parse_qelement, q_chains, q_up_covers
 from flagmn.qschubert import o_shift_element, w0_element
-from flagmn.verification import _FOREST_DRAWS, _SEED_FOREST, _random_forest_words
+from flagmn.verification import (
+    _FOREST_DRAWS,
+    _SEED_FOREST,
+    _random_forest_words,
+    _structural_paths as _gate_paths,
+)
 from lemma_helpers import (
     chains_word_bijection,
     drop_position,
@@ -53,9 +59,11 @@ from lemma_helpers import (
     insert_wall_zero,
     iota_index,
     iota_word,
+    is_minimal_word,
     tau_index,
     tau_word,
     w0_word,
+    word_zeta,
 )
 
 
@@ -124,10 +132,10 @@ def test_word_validation():
 def test_zeta_and_minimality():
     w = FIG_WORDS[0]
     u, t = FIG_U, qe(FIG_T_TEXT, 5)
-    assert w.zeta() == t.w * u.inverse()
-    assert w.is_minimal()
+    assert word_zeta(w) == t.w * u.inverse()
+    assert is_minimal_word(w)
     # a square is supported on two values but has two letters
-    assert not OperatorWord(3, ((2, 3), (2, 3))).is_minimal()
+    assert not is_minimal_word(OperatorWord(3, ((2, 3), (2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +252,9 @@ def _full_scan_outcomes(word):
     Kept as the reference the prefix-pruned ``_nonzero_outcomes`` must
     reproduce tuple for tuple.
     """
-    app = word.application_order
-    for u in itertools.permutations(range(1, word.n + 1)):
-        out = operators._act_word(app, u)
+    app, n = word.application_order, word.n
+    for u in itertools.permutations(range(1, n + 1)):
+        out = operators._act_word(app, u, n)
         if out is not None:
             lo, hi, inc, image = out
             for k in range(lo, hi):
@@ -288,12 +296,12 @@ def _check_prune_on(word):
     acting = {
         u
         for u in itertools.permutations(range(1, n + 1))
-        if operators._act_word(app, u) is not None
+        if operators._act_word(app, u, n) is not None
     }
     refused = 0
     for p in range(n):
         for prefix in itertools.permutations(range(1, n + 1), p):
-            live = operators._live_prefix(app, prefix, n)
+            live = operators._act_word(app, prefix, n) is not None
             extended = any(u[:p] == prefix for u in acting)
             if p == n - 1:
                 assert live == extended, (str(word), prefix)
@@ -312,23 +320,20 @@ def test_prune_never_refuses_a_live_prefix():
 
 
 def test_zero_word_search_is_pruned(monkeypatch):
-    # the full scan runs the kernel on the 9!/2 = 181,440 u with 9 before 1
+    # the full scan runs the kernel on the 9!/2 = 181,440 u with 9 before 1;
+    # the pruned search makes one kernel call per prefix it visits
     calls = []
-    kernel, prune = operators._act_word, operators._live_prefix
+    kernel = operators._act_word
 
-    def count(f):
-        def wrapper(*args):
-            calls.append(f)
-            return f(*args)
+    def count(*args):
+        calls.append(args)
+        return kernel(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(operators, "_act_word", count(kernel))
-    monkeypatch.setattr(operators, "_live_prefix", count(prune))
+    monkeypatch.setattr(operators, "_act_word", count)
     operators._flat_is_zero.cache_clear()
     word = W("v(1,5) v(2,6) v(3,7) v(4,8) v(9,1)", 9)
     assert is_zero_word(word)
-    assert calls.count(kernel) < 1000
+    assert sum(len(prefix) == 9 for _, prefix, _ in calls) < 1000
     assert len(calls) < 1000
 
 
@@ -639,7 +644,7 @@ def test_chain_word_bijection_on_figure_interval():
     assert len(pairs) == 5
     for chain, word in pairs:
         assert chain.labels == tuple(a for a, _ in word.application_order)
-        assert word.is_minimal()
+        assert is_minimal_word(word)
         assert is_forest_word(word)
 
 
@@ -654,7 +659,7 @@ def test_chain_word_bijection_classical_interval():
     words = [word for _, word in pairs]
     assert len(words) == len({str(w) for w in words})
     for word in words:
-        assert word.is_minimal()
+        assert is_minimal_word(word)
         assert is_forest_word(word)
 
 
@@ -764,6 +769,39 @@ def test_rows_and_columns_act_somewhere():
     for word in _structural_paths(4):
         if is_row(word) or is_column(word):
             assert not is_zero_word(word)
+
+
+# sha256 of everything the taxonomy decides on the gate's path and forest
+# words; a change in any one decision changes the digest
+TAXONOMY_DIGEST = "12d3412f8348a90287f46953c7c6c3869103546dd90cc8f508f0f1895b6dc115"
+
+
+def test_taxonomy_digest_on_gate_words():
+    paths = [OperatorWord.from_application(5, app) for app in _gate_paths(5)]
+    forests = sorted(set(_random_forest_words(_FOREST_DRAWS, _SEED_FOREST)))
+    forests = [OperatorWord(n, letters) for n, letters in forests]
+    assert (len(paths), len(forests)) == (3140, 2144)
+    digest = hashlib.sha256()
+    for word in paths + forests:
+        line = [
+            str(word),
+            row_shift(word),
+            column_shift(word),
+            classify(word),
+            is_forest_word(word),
+            is_tree_word(word),
+            has_crossing_components(word),
+        ]
+        digest.update(repr(line).encode())
+    nonzero = 0
+    for word in forests:
+        witness = first_witness(word)
+        if witness is not None:
+            nonzero += 1
+            row, col, shift = rc_decompose(word, *witness)
+            digest.update(f"{word}|{row}|{col}|{shift}".encode())
+    assert nonzero == 190
+    assert digest.hexdigest() == TAXONOMY_DIGEST
 
 
 def test_tree_times_gap_letter_is_zero():
