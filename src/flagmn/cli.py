@@ -241,15 +241,17 @@ def cmd_chains(args) -> int:
 
 def cmd_operators(args) -> int:
     word = parse_word(args.word, args.n)
+    if args.k is not None and args.u is None:
+        raise ValueError("--k needs --u")
+    if args.u is not None and args.k is None:
+        raise ValueError("--u needs --k")
     if args.format == "dot":
+        if args.u is not None:
+            raise ValueError("--format dot draws the word only; drop --u and --k")
         print(word_to_dot(word))
         return 0
     action = None
-    if args.k is not None and args.u is None:
-        raise ValueError("--k needs --u")
     if args.u is not None:
-        if args.k is None:
-            raise ValueError("--u needs --k")
         u = _extend_u(parse_permutation(args.u), args.n, args.u)
         result = act(word, u, args.k)
         action = "0" if result is None else str(result)

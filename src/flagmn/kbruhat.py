@@ -14,6 +14,12 @@ A permutation zeta is *minimal* when lrank(zeta) = #support(zeta) - (number
 of nontrivial cycles), where lrank(zeta) = length(zeta u) - length(u) for any
 witness pair u <=_k zeta u.  Minimality and lrank only depend on the flattened
 shape of zeta, so ``lrank`` searches for a witness of the flattened zeta.
+
+Both orders run on kernels kept here, on one-line (alpha, word) tuples:
+``_cover_swaps`` states the rule above, ``_quantum_swaps`` the quantum rule
+of ``qbruhat``, and ``_covers`` yields both kinds.  ``_walk`` goes up from
+a bottom through ``_covers``; ``interval`` here and ``q_interval`` and
+``q_leq`` in ``qbruhat`` all read their answer off it.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .perm import Permutation, _check_k, _swapped, flatten_cycles, het, identity
 
@@ -61,6 +68,45 @@ def _cover_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
                 if l >= k:
                     yield i, l
                 bound = v
+
+
+def _quantum_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
+    """The 0-based (i, l) of every quantum k-cover word -> q_{i+1,l+1} word t_il.
+
+    The quantum cover rule, stated once (see the ``qbruhat`` docstring).
+    """
+    n = len(word)
+    for i in range(k):
+        a = word[i]
+        low = n + 1  # smallest value seen since position i
+        for l in range(i + 1, n):
+            v = word[l]
+            if v > a:
+                break  # a value above word[i] blocks every further swap
+            if v < low:
+                if l >= k:
+                    yield i, l
+                low = v
+
+
+def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
+    """alpha times q_{i+1,l+1}: one more q on each of the walls i+1..l."""
+    out = list(alpha)
+    out[i:l] = [a + 1 for a in alpha[i:l]]
+    return tuple(out)
+
+
+def _covers(alpha: tuple[int, ...], word: tuple[int, ...], k: int, quantum: bool):
+    """(i, l, alpha') for every cover q^alpha word -> q^alpha' word t_il.
+
+    Classical covers come first and keep alpha itself; ``quantum`` switches
+    the quantum covers on.
+    """
+    for i, l in _cover_swaps(word, k):
+        yield i, l, alpha
+    if quantum:
+        for i, l in _quantum_swaps(word, k):
+            yield i, l, _raised(alpha, i, l)
 
 
 def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
@@ -185,75 +231,72 @@ class LabeledPoset:
         )
 
 
-_Covers = Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]]
+def _walk(bottom: tuple, top: tuple, steps: int, k: int, quantum: bool) -> list[dict]:
+    """The covers out of everything within ``steps`` levels above bottom.
 
-
-def _forward_pass(
-    bottom: Hashable,
-    top: Hashable,
-    rank: Callable[[Hashable], int],
-    covers: _Covers,
-    prune: Callable[[Hashable], bool],
-) -> tuple[dict[Hashable, list[tuple[Hashable, Hashable]]], set]:
-    """The cover edges out of everything reached from bottom up to rank(top).
-
-    Covers above rank(top) or failing prune are dropped.  Returns the
-    adjacency lists (x -> [(label, y), ...]) and the set of reached elements,
-    which holds top exactly when top is reachable through kept covers.
+    bottom and top are (alpha, word) pairs.  Returns one dict per level,
+    0..steps, mapping each element reached there to its [(label, upper)]
+    covers; the last level is not expanded.  A cover whose alpha exceeds
+    top's on some wall can never come back below top, so it is dropped; a
+    classical cover keeps its alpha, which already lies below top's.
     """
-    top_rank = rank(top)
-    adj: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
-    frontier = {bottom}
-    seen = {bottom}
-    for _ in range(top_rank - rank(bottom)):
-        nxt: set[Hashable] = set()
-        for x in frontier:
-            for lab, y in covers(x):
-                if rank(y) > top_rank or not prune(y):
-                    continue
-                adj.setdefault(x, []).append((lab, y))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.add(y)
-        frontier = nxt
-    return adj, seen
+    cap = top[0]
+    levels = [{bottom: []}]
+    for _ in range(steps):
+        nxt: dict = {}
+        for (alpha, word), ups in levels[-1].items():
+            for i, l, lifted in _covers(alpha, word, k, quantum):
+                if lifted is alpha or all(map(operator.le, lifted, cap)):
+                    y = (lifted, _swapped(word, i, l))
+                    ups.append((word[i], y))
+                    nxt.setdefault(y, [])
+        levels.append(nxt)
+    return levels
 
 
-def _build_interval(
-    bottom: Hashable,
-    top: Hashable,
-    rank: Callable[[Hashable], int],
-    covers: _Covers,
-    prune: Callable[[Hashable], bool],
-    what: str,
-) -> LabeledPoset:
-    adj, seen = _forward_pass(bottom, top, rank, covers, prune)
-    if top not in seen:
-        raise ValueError(f"{bottom} is not below {top} in the {what}")
-    # keep only elements on a path from bottom to top
-    radj: dict[Hashable, list[Hashable]] = {}
-    for x, pairs in adj.items():
-        for _lab, y in pairs:
-            radj.setdefault(y, []).append(x)
-    keep = {top}
-    stack = [top]
-    while stack:
-        y = stack.pop()
-        for x in radj.get(y, ()):
-            if x not in keep:
-                keep.add(x)
-                stack.append(x)
-    base = rank(bottom)
-    rank_of = {x: rank(x) - base for x in keep}
-    elements = tuple(sorted(keep, key=lambda x: (rank_of[x], str(x))))
+def _interval(bottom, top, steps: int, k: int, quantum: bool) -> LabeledPoset:
+    """[bottom, top] as a labeled poset, from a walk of ``steps`` levels.
+
+    bottom and top are Permutations, or QElements when ``quantum`` is set;
+    only the elements on a saturated chain from bottom to top are built.
+    Raises ValueError when the walk does not reach top.
+    """
+    if quantum:
+        from .qbruhat import QElement  # qbruhat builds on this module
+
+        lo, hi = (bottom.alpha, bottom.w.word), (top.alpha, top.w.word)
+    else:
+        zero = (0,) * (bottom.n - 1)
+        lo, hi = (zero, bottom.word), (zero, top.word)
+    levels = _walk(lo, hi, steps, k, quantum)
+    if hi not in levels[-1]:
+        order = f"{'quantum ' if quantum else ''}{k}-Bruhat order"
+        raise ValueError(f"{bottom} is not below {top} in the {order}")
+    # sweep back from top, keeping the elements that have a kept cover
+    kept = [{hi}]
+    for level in reversed(levels[:-1]):
+        above = kept[-1]
+        kept.append(
+            {x for x, ups in level.items() if any(y in above for _l, y in ups)}
+        )
+    kept.reverse()
+    obj = {lo: bottom, hi: top}
+    rank_of = {}
+    for r, keys in enumerate(kept):
+        for key in keys:
+            if key not in obj:
+                w = Permutation._trusted(key[1])
+                obj[key] = QElement._trusted(key[0], w) if quantum else w
+            rank_of[obj[key]] = r
+    elements = tuple(sorted(rank_of, key=lambda x: (rank_of[x], str(x))))
     edges = tuple(
         sorted(
             (
-                (x, lab, y)
-                for x, pairs in adj.items()
-                if x in keep
-                for lab, y in pairs
-                if y in keep
+                (obj[x], lab, obj[y])
+                for r, keys in enumerate(kept[:-1])
+                for x in keys
+                for lab, y in levels[r][x]
+                if y in kept[r + 1]
             ),
             key=lambda e: (rank_of[e[0]], str(e[0]), str(e[1])),
         )
@@ -266,16 +309,9 @@ def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
 
     Raises ValueError when u is not below w in the k-Bruhat order.
     """
-    if not leq_k(u, w, k):
+    if not leq_k(u, w, k):  # fails fast, before the walk fills every level
         raise ValueError(f"{u} is not below {w} in the {k}-Bruhat order")
-    return _build_interval(
-        u,
-        w,
-        rank=lambda x: x.length,
-        covers=lambda x: up_covers(x, k),
-        prune=lambda y: leq_k(y, w, k),
-        what=f"{k}-Bruhat order",
-    )
+    return _interval(u, w, w.length - u.length, k, False)
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,17 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
 
 
+def _check_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    """The shape rule at k on S_n: lam without zeros fits in k x (n - k)."""
+    _check_k(n, k)
+    lam = tuple(v for v in lam if v)
+    if not fits_rectangle(lam, k, n - k):
+        raise ValueError(
+            f"shape {lam} does not fit in the {k} x {n - k} rectangle"
+        )
+    return lam
+
+
 def _swapped(word: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
     """``word`` with the 0-based positions i and l exchanged."""
     w = list(word)
@@ -420,8 +431,7 @@ def grassmannian(lam: tuple[int, ...], k: int, n: int) -> Permutation:
         v < 0 for v in lam
     ):
         raise ValueError(f"not a partition: {lam!r}")
-    if not fits_rectangle(lam, k, n - k):
-        raise ValueError(f"{lam!r} does not fit in {k} x {n - k}")
+    _check_shape(lam, k, n)
     padded = lam + (0,) * (k - len(lam))
     first = [padded[k - j] + j for j in range(1, k + 1)]
     rest = sorted(set(range(1, n + 1)) - set(first))

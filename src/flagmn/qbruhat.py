@@ -14,6 +14,10 @@ Both edges are labeled by the value u(i) at the left swap position.
 Exponent vectors alpha live on the walls 1..n-1 and are stored as tuples of
 length n-1.  An interval [u, q^alpha w]_k^q is *minimal* when its rank
 difference equals #supp(w u^{-1}) - s(w u^{-1}).
+
+Both cover rules run as kernels in ``kbruhat``, and ``q_interval`` and
+``q_leq`` read their answer off the same walk that builds the classical
+``interval`` there; the classical interval is its alpha = 0 slice.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from typing import Iterator
 from .kbruhat import (
     Chain,
     LabeledPoset,
-    _build_interval,
-    _forward_pass,
+    _interval,
+    _quantum_swaps,
+    _raised,
+    _walk,
     poset_chains,
     up_covers,
 )
@@ -34,7 +40,6 @@ from .perm import Permutation, _check_k, _swapped, parse_permutation
 __all__ = [
     "QElement",
     "q_ij",
-    "quantum_up_covers",
     "q_up_covers",
     "q_interval",
     "q_leq",
@@ -120,73 +125,27 @@ class QElement:
         return f"QElement({self.alpha!r}, {self.w!r})"
 
 
-def _quantum_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
-    """The 0-based (i, l) of every quantum k-cover word -> q_{i+1,l+1} word t_il.
-
-    The quantum cover rule, stated once (see the module docstring).
-    """
-    n = len(word)
-    for i in range(k):
-        a = word[i]
-        low = n + 1  # smallest value seen since position i
-        for l in range(i + 1, n):
-            v = word[l]
-            if v > a:
-                break  # a value above word[i] blocks every further swap
-            if v < low:
-                if l >= k:
-                    yield i, l
-                low = v
-
-
-def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
-    """alpha times q_{i+1,l+1}: one more q on each of the walls i+1..l."""
-    out = list(alpha)
-    out[i:l] = [a + 1 for a in alpha[i:l]]
-    return tuple(out)
-
-
-def quantum_up_covers(
-    u: Permutation, k: int
-) -> list[tuple[int, tuple[int, int], Permutation]]:
-    """Quantum covers of u: (label, (i, j), u t_ij) with monomial q_{i,j}.
-
-    >>> [(lab, ij, str(w)) for lab, ij, w in quantum_up_covers(Permutation((1, 4, 3, 2)), 2)]
-    [(4, (2, 3), '1342'), (4, (2, 4), '1234')]
-    """
-    word = u.word
-    _check_k(len(word), k)
-    return [
-        (word[i], (i + 1, l + 1), Permutation._trusted(_swapped(word, i, l)))
-        for i, l in _quantum_swaps(word, k)
-    ]
-
-
 def q_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
-    """All covers of x in the quantum k-Bruhat order, as (label, element) pairs."""
+    """All covers of x in the quantum k-Bruhat order, as (label, element) pairs.
+
+    >>> x = QElement((0, 0, 0), Permutation((1, 4, 3, 2)))
+    >>> [(lab, str(y)) for lab, y in q_up_covers(x, 2)]
+    [(1, '3412'), (1, '2431'), (4, 'q^(0,1,0) 1342'), (4, 'q^(0,1,1) 1234')]
+    """
     out = [(lab, QElement._trusted(x.alpha, w)) for lab, w in up_covers(x.w, k)]
-    for lab, (i, j), w in quantum_up_covers(x.w, k):
-        out.append((lab, QElement._trusted(_raised(x.alpha, i - 1, j - 1), w)))
+    word = x.w.word
+    for i, l in _quantum_swaps(word, k):
+        w = Permutation._trusted(_swapped(word, i, l))
+        out.append((word[i], QElement._trusted(_raised(x.alpha, i, l), w)))
     return out
 
 
-def _alpha_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _search(u: Permutation, t: QElement, k: int) -> dict:
-    # the arguments of the interval search from u up to t: covers that
-    # overshoot t's q-degree on some wall can never come back below t
+def _bottom(u: Permutation, t: QElement, k: int) -> QElement:
+    """u as the bottom of an interval up to t, once u, t and k fit together."""
     if u.n != t.w.n:
         raise ValueError("size mismatch")
     _check_k(u.n, k)
-    return dict(
-        bottom=QElement((0,) * (u.n - 1), u),
-        top=t,
-        rank=lambda x: x.rank,
-        covers=lambda x: q_up_covers(x, k),
-        prune=lambda y: _alpha_leq(y.alpha, t.alpha),
-    )
+    return QElement._trusted((0,) * (u.n - 1), u)
 
 
 def q_interval(u: Permutation, t: QElement, k: int) -> LabeledPoset:
@@ -194,14 +153,14 @@ def q_interval(u: Permutation, t: QElement, k: int) -> LabeledPoset:
 
     Raises ValueError when u is not below t.
     """
-    what = f"quantum {k}-Bruhat order"
-    return _build_interval(**_search(u, t, k), what=what)
+    return _interval(_bottom(u, t, k), t, t.rank - u.length, k, True)
 
 
 def q_leq(u: Permutation, t: QElement, k: int) -> bool:
     """Whether u <= t in the quantum k-Bruhat order."""
-    _adj, reached = _forward_pass(**_search(u, t, k))
-    return t in reached
+    bottom = (_bottom(u, t, k).alpha, u.word)
+    top = (t.alpha, t.w.word)
+    return top in _walk(bottom, top, t.rank - u.length, k, True)[-1]
 
 
 def q_chains(u: Permutation, t: QElement, k: int) -> Iterator[Chain]:

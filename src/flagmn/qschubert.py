@@ -36,12 +36,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .kbruhat import _covers
 from .perm import (
     Permutation,
     _check_k,
+    _check_shape,
     _swapped,
     cyclic_shift,
-    fits_rectangle,
     longest_element,
 )
 from .qbruhat import QElement, q_ij, q_up_covers
@@ -52,7 +53,6 @@ from .schubert import (
     _apply_x,
     _check_hook_args,
     _check_powersum_args,
-    _covers,
     _hook_coefficient,
     _minimal_rule,
     _names,
@@ -132,7 +132,7 @@ class QLRQuery:
             raise ValueError(f"alpha needs {n - 1} walls, got {len(self.alpha)}")
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"negative exponent in {self.alpha!r}")
-        object.__setattr__(self, "lam", _checked_shape(self.lam, self.k, n))
+        object.__setattr__(self, "lam", _check_shape(self.lam, self.k, n))
 
     @classmethod
     def _trusted(cls, u, w, alpha, lam, k) -> "QLRQuery":
@@ -142,34 +142,17 @@ class QLRQuery:
         return self
 
 
-def _checked_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
-    """lam without its zero parts, once k and lam are known to fit S_n."""
-    _check_k(n, k)
-    lam = tuple(v for v in lam if v)
-    if not fits_rectangle(lam, k, n - k):
-        raise ValueError(
-            f"shape {lam} has no Grassmannian permutation with descent {k} in S_{n}"
-        )
-    return lam
-
-
-def ll_reduce_step(
-    query: QLRQuery, *, largest: bool = False
-) -> tuple[int, QLRQuery] | None:
+def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
     """One descent-exchange reduction, or None when the coefficient is zero.
 
     Finds a wall i with sg_i(u) = 1, sg_i(w) = 0 and varpi_i(alpha) = 1
     (= 2 when i = k) and moves the query to (u s_i, w s_i, alpha - e_i).
-    Any qualifying wall yields the same coefficient; the smallest is taken
-    unless ``largest`` is set.
+    Any qualifying wall yields the same coefficient; the smallest is taken.
     """
     if not any(query.alpha):
         raise ValueError("reduction needs a nonzero exponent vector")
     u, w, alpha, k = query.u, query.w, query.alpha, query.k
-    walls = range(1, u.n)
-    if largest:
-        walls = reversed(walls)
-    for i in walls:
+    for i in range(1, u.n):
         want = 2 if i == k else 1
         if (
             varpi(alpha, i) == want
@@ -188,24 +171,24 @@ def ll_reduce_step(
     return None
 
 
-def _classical_query(query: QLRQuery, largest: bool) -> QLRQuery | None:
+def _classical_query(query: QLRQuery) -> QLRQuery | None:
     """The classical query (alpha = 0) that the reduction reaches, or None
     when a step fails with alpha still nonzero and so certifies a zero."""
     while any(query.alpha):
-        step = ll_reduce_step(query, largest=largest)
+        step = ll_reduce_step(query)
         if step is None:
             return None
         query = step[1]
     return query
 
 
-def quantum_lr(query: QLRQuery, *, largest: bool = False) -> int:
+def quantum_lr(query: QLRQuery) -> int:
     """The numerical part N^{w,alpha}_{u,v(lam,k)} of a quantum LR coefficient.
 
     Reduces to a classical coefficient wall by wall; a failed reduction with
     alpha still nonzero certifies that the coefficient vanishes.
     """
-    query = _classical_query(query, largest)
+    query = _classical_query(query)
     if query is None:
         return 0
     return schur_multiply(query.u, query.lam, query.k).coefficient(query.w)
@@ -221,7 +204,7 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
     u' is multiplied once per call.
     """
     n = u.n
-    lam = _checked_shape(lam, k, n)
+    lam = _check_shape(lam, k, n)
     frontier = {((0,) * (n - 1), u.word)}
     for _ in range(sum(lam)):
         frontier = {
@@ -233,7 +216,7 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
     terms = {}
     for alpha, word in frontier:
         w = Permutation._trusted(word)
-        query = _classical_query(QLRQuery._trusted(u, w, alpha, lam, k), False)
+        query = _classical_query(QLRQuery._trusted(u, w, alpha, lam, k))
         if query is None:
             continue
         if query.u not in products:
@@ -533,11 +516,7 @@ def quantize(p: Poly, n: int) -> QPoly:
 @lru_cache(maxsize=None)
 def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
     """The quantum Schur polynomial s^q_lam(x_1..x_k) for lam inside R_{k,n-k}."""
-    _check_k(n, k)
-    lam = tuple(v for v in lam if v)
-    if not fits_rectangle(lam, k, n - k):
-        raise ValueError(f"{lam} does not fit in the {k} x {n - k} rectangle")
-    return quantize(schur_poly(lam, k), n)
+    return quantize(schur_poly(_check_shape(lam, k, n), k), n)
 
 
 def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
@@ -546,12 +525,5 @@ def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     return _operator_sum(u, monomials, True)
 
 
-def fgp_product(
-    u: Permutation, lam: tuple[int, ...], k: int, n: int | None = None
-) -> Expansion:
-    """q_schur_multiply with an explicit ambient: u is embedded into S_n."""
-    if n is not None:
-        if n < u.n:
-            raise ValueError(f"cannot shrink {u} into S_{n}")
-        u = u.extend(n)
-    return q_schur_multiply(u, lam, k)
+# the name the CLI, the checks and the benchmark give the FGP route
+fgp_product = q_schur_multiply

@@ -1,8 +1,8 @@
 """Schubert polynomials and products in the cohomology of the flag manifold.
 
 The classical and the quantum products share one engine, written once here.
-It runs on one-line (alpha, word) tuples through the cover kernels of
-``kbruhat`` and ``qbruhat`` and builds objects only for the terms it returns;
+It runs on one-line (alpha, word) tuples through the cover kernel
+``kbruhat._covers`` and builds objects only for the terms it returns;
 the classical ring never walks a quantum edge, so its alpha stays 0.  The
 minimal-interval rule walks only minimal prefixes, and the Schur loop over
 monomials shares the x_m steps of common prefixes.  The minimal-interval
@@ -34,9 +34,9 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .kbruhat import _cover_swaps, _peakless_binomial, up_covers
+from .kbruhat import _cover_swaps, _covers, _peakless_binomial, up_covers
 from .perm import Permutation, _check_k, _swapped, from_code, grassmannian
-from .qbruhat import QElement, _quantum_swaps, _raised
+from .qbruhat import QElement
 
 __all__ = [
     "Poly",
@@ -344,15 +344,6 @@ def _check_powersum_args(u: Permutation, r: int, k: int) -> None:
     _check_k(u.n, k)
     if r < 1:
         raise ValueError(f"power sum degree must be positive, got {r}")
-
-
-def _covers(alpha: tuple[int, ...], word: tuple[int, ...], k: int, quantum: bool):
-    """(i, l, alpha') for every cover q^alpha word -> q^alpha' word t_il."""
-    for i, l in _cover_swaps(word, k):
-        yield i, l, alpha
-    if quantum:
-        for i, l in _quantum_swaps(word, k):
-            yield i, l, _raised(alpha, i, l)
 
 
 def _expansion(n: int, terms: dict) -> Expansion:

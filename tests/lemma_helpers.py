@@ -5,16 +5,19 @@ the w0 relabeling of words, the product of a word's letter transpositions
 and its minimality, the chain/word bijection, the noncrossing factorization
 of a permutation and the divided difference operator.  The package itself
 never needs them, so they live here, next to the tests that check the
-lemmas they state.
+lemmas they state.  The quantum covers by a position scan and the
+descent exchange at the largest wall are references for the kernels and
+the wall choice of the package.
 """
 
 from __future__ import annotations
 
-from flagmn.kbruhat import Chain, crossing
+from flagmn.kbruhat import Chain, crossing, up_covers
 from flagmn.operators import OperatorWord, act, chain_word
 from flagmn.perm import Permutation, flatten, from_cycles, identity
-from flagmn.qbruhat import QElement, q_chains
-from flagmn.schubert import Poly, _trim
+from flagmn.qbruhat import QElement, q_chains, q_ij
+from flagmn.qschubert import QLRQuery, sg, varpi
+from flagmn.schubert import Poly, _trim, schur_multiply
 
 
 def tau_index(j: int, s: int) -> int:
@@ -147,3 +150,48 @@ def divided_difference(p: Poly, i: int) -> Poly:
             key = _trim(tuple(e))
             out[key] = out.get(key, 0) + sign * c
     return Poly(out)
+
+
+def brute_quantum_covers(u: Permutation, k: int) -> list:
+    """(u(i), (i, j), u t_ij) for each quantum k-cover, scanning i, then j.
+
+    i <= k < j, u(i) > u(j), and every position strictly between i and j
+    carries a value strictly between u(j) and u(i).
+    """
+    return [
+        (u(i), (i, j), u.swap_positions(i, j))
+        for i in range(1, k + 1)
+        for j in range(k + 1, u.n + 1)
+        if u(i) > u(j) and all(u(j) < u(l) < u(i) for l in range(i + 1, j))
+    ]
+
+
+def brute_q_covers(x: QElement, k: int) -> list:
+    """The covers of q^alpha w in the order of ``q_up_covers``, rebuilt through
+    the validating constructors, ``up_covers``, the scan above and q_ij."""
+    n = x.w.n
+    out = [
+        (lab, QElement(x.alpha, Permutation(w.word))) for lab, w in up_covers(x.w, k)
+    ]
+    for lab, (i, j), w in brute_quantum_covers(x.w, k):
+        alpha = tuple(a + b for a, b in zip(x.alpha, q_ij(i, j, n)))
+        out.append((lab, QElement(alpha, Permutation(w.word))))
+    return out
+
+
+def largest_wall_lr(query: QLRQuery) -> int:
+    """``quantum_lr`` with the descent exchange taken at the largest
+    qualifying wall instead of the smallest."""
+    u, w, alpha, k = query.u, query.w, query.alpha, query.k
+    while any(alpha):
+        walls = [
+            i
+            for i in range(1, u.n)
+            if varpi(alpha, i) == (2 if i == k else 1) and sg(u, i) and not sg(w, i)
+        ]
+        if not walls:
+            return 0
+        i = walls[-1]
+        u, w = u.swap_positions(i, i + 1), w.swap_positions(i, i + 1)
+        alpha = alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]
+    return schur_multiply(u, query.lam, k).coefficient(w)

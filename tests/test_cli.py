@@ -211,6 +211,9 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("product", "--quantum", "--u", "1432", "--k", "2", "--lambda", "2,1", "--basis", "hook-theorem"),
         ("verify", "--n", "6"),
         ("operators", "--word", "v(1,2)", "--n", "3", "--k", "1"),
+        # dot draws the word only: an action is refused, not dropped
+        ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--format", "dot"),
+        ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--k", "1", "--format", "dot"),
         ("product", "--u", "1432", "--n", "3", "--k", "1", "--class", "s1"),
         ("product", "--quantum", "--u", "12345678", "--k", "1", "--lambda", "1"),
         # the target alone picks the order: interval and chains have no --quantum

@@ -15,7 +15,7 @@ import pytest
 from flagmn import qschubert, schubert
 from flagmn.kbruhat import up_covers
 from flagmn.perm import Permutation, all_permutations, het, partitions
-from flagmn.qbruhat import QElement, q_ij, q_up_covers, quantum_up_covers
+from flagmn.qbruhat import QElement, q_up_covers
 from flagmn.qschubert import q_x_times, quantum_elementary, quantum_schur
 from flagmn.schubert import (
     Expansion,
@@ -28,19 +28,10 @@ from flagmn.schubert import (
     schur_poly,
     x_times,
 )
+from lemma_helpers import brute_q_covers, brute_quantum_covers
 
 S4 = list(all_permutations(4))
 DEGREE_AT_MOST_ONE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]  # on S_4
-
-
-def _rebuilt_q_covers(x, k):
-    # the covers of q^alpha w through the validating constructors and q_ij
-    n = x.w.n
-    out = [(lab, QElement(x.alpha, Permutation(w.word))) for lab, w in up_covers(x.w, k)]
-    for lab, (i, j), w in quantum_up_covers(x.w, k):
-        alpha = tuple(a + b for a, b in zip(x.alpha, q_ij(i, j, n)))
-        out.append((lab, QElement(alpha, Permutation(w.word))))
-    return out
 
 
 # -- trusted constructors ----------------------------------------------------
@@ -65,7 +56,7 @@ def test_trusted_covers_equal_validated_rebuilds():
     for u, k, alpha in itertools.product(S4, (1, 2, 3), DEGREE_AT_MOST_ONE):
         x = QElement(alpha, u)
         got = q_up_covers(x, k)
-        want = _rebuilt_q_covers(x, k)
+        want = brute_q_covers(x, k)
         assert got == want, (x, k)
         for (_, y), (_, z) in zip(got, want):
             assert hash(y) == hash(z) and str(y) == str(z)
@@ -89,7 +80,7 @@ def _reference_minimal_rule(u, k, r, quantum, coeff):
     # every element r cover-steps up, then the #supp - #cycles = r filter
     zero = (0,) * (u.n - 1)
     start = QElement(zero, u) if quantum else u
-    covers = _rebuilt_q_covers if quantum else up_covers
+    covers = brute_q_covers if quantum else up_covers
     terms = []
     for x in _reachable(start, k, r, covers):
         w = x.w if quantum else x
@@ -142,7 +133,7 @@ def test_every_cover_moves_the_cycle_rank_by_one():
 
     for u, w, k in itertools.product(S4, S4, (1, 2, 3)):
         steps = [y for _lab, y in up_covers(w, k)]
-        steps += [y for _lab, _ij, y in quantum_up_covers(w, k)]
+        steps += [y for _lab, _ij, y in brute_quantum_covers(w, k)]
         assert all(abs(rank(y, u) - rank(w, u)) == 1 for y in steps), (u, w, k)
 
 

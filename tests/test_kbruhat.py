@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -17,12 +19,14 @@ from flagmn.kbruhat import (
     up_covers,
 )
 from flagmn.perm import (
+    Permutation,
     all_permutations,
     flatten_cycles,
     from_cycles,
     identity,
     parse_permutation,
 )
+from flagmn.qbruhat import QElement, q_interval, q_up_covers
 from lemma_helpers import noncrossing_factorization
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
@@ -307,3 +311,68 @@ def test_poset_serializations():
     assert '"1324" -> "1423" [label="3"];' in dot
     data = poset.to_json()
     assert '"bottom": "1324"' in data
+
+
+# -- poset digest ---------------------------------------------------------------
+
+
+def _walked_top(rng, u, k, steps, quantum):
+    """The end of a seeded random walk of ``steps`` covers up from u."""
+    x = QElement((0,) * (u.n - 1), u) if quantum else u
+    for _ in range(steps):
+        ups = q_up_covers(x, k) if quantum else up_covers(x, k)
+        if not ups:
+            break
+        x = rng.choice(ups)[1]
+    return x
+
+
+def tied_s10():
+    """An S_10 interval whose two edges out of the bottom share (rank, lower)."""
+    P = parse_permutation
+    top = QElement((1, 2, 1, 1, 1, 0, 0, 0, 0), P("1,3,9,6,7,10,2,8,5,4"))
+    return P("10,9,3,6,7,1,2,8,5,4"), top, 2
+
+
+def digest_posets():
+    """The posets of the figures, of seeded walks and of a tied S_10 case."""
+    P = parse_permutation
+    out = [
+        (P("68235741"), P("68357421"), 5),
+        (P("3217465"), P("6274135"), 3),
+        (P("53421"), QElement((1, 2, 2, 1), P("12354")), 2),
+        (P("41352"), QElement((0, 0, 1, 1), P("52134")), 3),
+        (P("68231574"), QElement((0,) * 7, P("78256134")), 5),
+        (P("68235741"), QElement((0, 0, 0, 0, 1, 1, 1), P("78251346")), 5),
+    ]
+    rng = random.Random("poset-digest")
+    for t in range(60):
+        n = rng.choice((6, 7, 8))
+        u = Permutation(rng.sample(range(1, n + 1), n))
+        k = rng.randint(1, n - 1)
+        out.append((u, _walked_top(rng, u, k, rng.randint(1, 5), t % 2 == 1), k))
+    out.append(tied_s10())
+    for u, top, k in out:
+        quantum = isinstance(top, QElement)
+        yield q_interval(u, top, k) if quantum else interval(u, top, k)
+
+
+# sha256 of to_dot(), to_json() and rank_of of every poset above, recorded
+# before the classical and quantum intervals shared one walk
+POSET_DIGEST = "5f7592105efb0c529a78d6e523fb5fee22d793d37627c57e45ab4b5e3291e1bd"
+
+
+def test_poset_digest():
+    digest = hashlib.sha256()
+    for poset in digest_posets():
+        ranks = sorted((str(x), r) for x, r in poset.rank_of.items())
+        digest.update(f"{poset.to_dot()}\n{poset.to_json()}\n{ranks}\n".encode())
+    assert digest.hexdigest() == POSET_DIGEST
+
+
+def test_tied_edges_sort_by_printed_label():
+    # "10" before "9", though 9 < 10 and its upper element prints first
+    poset = q_interval(*tied_s10())
+    out_of_bottom = [(lab, str(y)) for x, lab, y in poset.edges if x == poset.bottom]
+    assert [lab for lab, _y in out_of_bottom] == [10, 9]
+    assert out_of_bottom[1][1] < out_of_bottom[0][1]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,7 @@ from flagmn.perm import (
 )
 import flagmn as fm
 from flagmn.kbruhat import up_covers
-from flagmn.qbruhat import q_leq, q_up_covers, quantum_up_covers
+from flagmn.qbruhat import q_leq, q_up_covers
 from flagmn.qschubert import quantum_schur
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
@@ -216,7 +217,6 @@ K_RULE = {
     "chains": lambda k: list(fm.chains(U4, U4, k)),
     "leq_k": lambda k: fm.leq_k(U4, U4, k),
     "up_covers": lambda k: up_covers(U4, k),
-    "quantum_up_covers": lambda k: quantum_up_covers(U4, k),
     "q_up_covers": lambda k: q_up_covers(TOP4, k),
     "q_interval": lambda k: fm.q_interval(U4, TOP4, k),
     "q_chains": lambda k: list(fm.q_chains(U4, TOP4, k)),
@@ -243,3 +243,22 @@ K_RULE = {
 def test_every_k_function_states_the_one_k_rule(name, k):
     with pytest.raises(ValueError, match=rf"^k must be in 1\.\.3, got {k}$"):
         K_RULE[name](k)
+
+
+# -- the one shape rule --------------------------------------------------------
+
+SHAPE_RULE = {
+    "grassmannian": lambda lam: grassmannian(lam, 2, 4),
+    "quantum_schur": lambda lam: quantum_schur(lam, 2, 4),
+    "fgp_product": lambda lam: fm.fgp_product(U4, lam, 2),
+    "QLRQuery": lambda lam: fm.QLRQuery(U4, U4, (0, 0, 0), lam, 2),
+    "ll_reduce_product": lambda lam: fm.ll_reduce_product(U4, lam, 2),
+}
+
+
+@pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
+@pytest.mark.parametrize("name", list(SHAPE_RULE))
+def test_every_shape_function_states_the_one_shape_rule(name, lam):
+    want = rf"^shape {re.escape(str(lam))} does not fit in the 2 x 2 rectangle$"
+    with pytest.raises(ValueError, match=want):
+        SHAPE_RULE[name](lam)

@@ -11,8 +11,8 @@ from flagmn.qbruhat import (
     q_interval,
     q_leq,
     q_up_covers,
-    quantum_up_covers,
 )
+from lemma_helpers import brute_q_covers, brute_quantum_covers
 
 
 def qe(text, n):
@@ -66,27 +66,25 @@ def test_quantum_cover_length_identity():
     for n in (3, 4, 5):
         for u in all_permutations(n):
             for k in range(1, n):
-                for _lab, (i, j), w in quantum_up_covers(u, k):
-                    assert w.length == u.length - 2 * (j - i) + 1
-                    assert u(i) > u(j)
-
-
-def brute_quantum_covers(u, k):
-    out = set()
-    for i in range(1, k + 1):
-        for j in range(k + 1, u.n + 1):
-            if u(i) > u(j) and all(
-                u(j) < u(l) < u(i) for l in range(i + 1, j)
-            ):
-                out.add((u(i), (i, j), u.swap_positions(i, j)))
-    return out
+                for _lab, y in q_up_covers(QElement((0,) * (n - 1), u), k):
+                    walls = [m for m, a in enumerate(y.alpha, 1) if a]
+                    if walls:
+                        i, j = walls[0], walls[-1] + 1
+                        assert y.alpha == q_ij(i, j, n)
+                        assert y.w.length == u.length - 2 * (j - i) + 1
+                        assert u(i) > u(j)
 
 
 def test_quantum_covers_match_brute_force():
     for n in (3, 4, 5):
         for u in all_permutations(n):
             for k in range(1, n):
-                assert set(quantum_up_covers(u, k)) == brute_quantum_covers(u, k)
+                got = q_up_covers(QElement((0,) * (n - 1), u), k)
+                want = {
+                    (lab, QElement(q_ij(i, j, n), w))
+                    for lab, (i, j), w in brute_quantum_covers(u, k)
+                }
+                assert {(lab, y) for lab, y in got if y.degree} == want
 
 
 def test_rank_raises_by_one():
@@ -259,7 +257,8 @@ def test_q_leq():
 
 def test_q_leq_is_unpruned_reachability():
     # every t of q-degree <= 1 in S_3 and S_4, against a plain walk up the
-    # quantum covers that stops only at the largest rank such a t can have
+    # position-scan covers that stops only at the largest rank such a t can
+    # have
     for n in (3, 4):
         perms = list(all_permutations(n))
         alphas = [(0,) * (n - 1)] + [q_ij(i, i + 1, n) for i in range(1, n)]
@@ -272,7 +271,7 @@ def test_q_leq_is_unpruned_reachability():
                     frontier = {
                         y
                         for x in frontier
-                        for _lab, y in q_up_covers(x, k)
+                        for _lab, y in brute_q_covers(x, k)
                         if y.rank <= top_rank
                     }
                     reached = reached | frontier
