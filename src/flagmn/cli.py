@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 a verification or reproduction failed, 2 bad usage.
 Bad usage is any ValueError: the library validates its own inputs (the
 k-range, shapes, sizes), so the front end checks only what it parses.
-Everything on stdout is deterministic - rerunning a command, at any
-FLAGMN_THREADS setting, emits identical bytes.  Timings go to stderr.
+Stdout is deterministic - rerunning a command emits identical bytes, and
+``verify`` runs the gate serially in one process.  Timings go to stderr.
 """
 
 from __future__ import annotations

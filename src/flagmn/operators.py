@@ -120,11 +120,10 @@ def parse_word(text: str, n: int) -> OperatorWord:
     >>> parse_word("v(2,3) v(1,2)", 3).letters
     ((2, 3), (1, 2))
     """
-    letters = tuple(
-        (int(a), int(b)) for a, b in _LETTER_RE.findall(text)
-    )
-    if not letters and text.strip():
-        raise ValueError(f"no letters found in {text!r}")
+    leftover = _LETTER_RE.sub(" ", text).split()
+    if leftover:
+        raise ValueError(f"cannot parse {' '.join(leftover)!r} in word {text!r}")
+    letters = tuple((int(a), int(b)) for a, b in _LETTER_RE.findall(text))
     return OperatorWord(n, letters)
 
 

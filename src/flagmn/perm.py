@@ -319,12 +319,13 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     if text.startswith("("):
         if n is None:
             raise ValueError("cycle notation needs an explicit n")
+        leftover = _CYCLE_RE.sub(" ", text).split()
+        if leftover:
+            raise ValueError(f"cannot parse {' '.join(leftover)!r} in cycles {text!r}")
         cycles = [
             tuple(int(x) for x in m.group(1).replace(",", " ").split())
             for m in _CYCLE_RE.finditer(text)
         ]
-        if not cycles:
-            raise ValueError(f"cannot parse cycles from {text!r}")
         return from_cycles(cycles, n)
     if "," in text:
         word = tuple(int(x) for x in text.split(","))

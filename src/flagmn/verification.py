@@ -1,10 +1,9 @@
 """Release-gate sweeps: every headline guarantee recomputed from scratch.
 
 Each check is declared once, with ``@_check``, and is independent of the
-others, so ``run_checks`` can execute any subset.  The heavy sweeps fan out
-over FLAGMN_THREADS worker processes (serial unless the variable is set);
-workers exchange plain tuples and the reduce preserves input order, so
-reports, first failures included, are byte-identical at every parallelism level.
+others, so ``run_checks`` can execute any subset.  The gate runs serially in
+one process: each sweep maps a pure worker over plain-tuple cases in input
+order, so reports, first failures included, are byte-identical on every run.
 
 The ``reproduce_text`` builders regenerate the worked examples that ship as
 fixture files; ``fixture_text`` loads the bundled expectation they are
@@ -16,11 +15,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Sequence
@@ -85,7 +82,6 @@ __all__ = [
     "GROUPS",
     "REPRODUCIBLES",
     "fixture_text",
-    "parallel_map",
     "reproduce_text",
     "resolve_names",
     "run_checks",
@@ -98,30 +94,6 @@ class CheckResult:
     ok: bool
     detail: str
     seconds: float
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FLAGMN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map, fanned out over FLAGMN_THREADS processes.
-
-    Serial when the variable is unset; results never depend on the worker
-    count, only the wall time does.
-    """
-    items = list(items)
-    # a fork-started pool launches every worker at the first submit, so never
-    # ask for more than the machine's cores or the items can use
-    workers = min(_thread_count(), os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {}
@@ -165,7 +137,7 @@ def _sweep(worker: Callable, cases: Iterable) -> tuple[int, str | None]:
     """
     cases = list(cases)
     distinct = list(dict.fromkeys(cases))
-    result_of = dict(zip(distinct, parallel_map(worker, distinct)))
+    result_of = dict(zip(distinct, map(worker, distinct)))
     results = [result_of[case] for case in cases]
     failures = (failure for _, failure in results if failure is not None)
     return sum(c for c, _ in results), next(failures, None)
@@ -668,7 +640,7 @@ def check_quantum_independence():
     args = [(4, u.word) for u in all_permutations(4)]
     args += [(5, u.word) for u in all_permutations(5)]
     groups: dict[tuple, set[int]] = {}
-    for rows in parallel_map(_independence_worker, args):
+    for rows in map(_independence_worker, args):
         for zeta, lam, c in rows:
             groups.setdefault((zeta, lam), set()).add(c)
     split = [key for key, vals in groups.items() if len(vals) != 1]

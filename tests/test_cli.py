@@ -219,6 +219,9 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         # the target alone picks the order: interval and chains have no --quantum
         ("interval", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
         ("chains", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
+        # text the word parser cannot read is refused, not skipped
+        ("operators", "--word", "v(1,2) w(2,3)", "--n", "3"),
+        ("operators", "--word", "v(1,2) 7", "--n", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,11 @@ def test_word_validation():
     with pytest.raises(ValueError):
         parse_word("garbage", 5)
     assert parse_word("", 5) == OperatorWord(5, ())
+    assert parse_word("v(2,3)v(1,2)", 3).letters == ((2, 3), (1, 2))
+    # text the letters leave over is named, not skipped
+    for text, leftover in (("v(1,2) w(2,3)", "w(2,3)"), ("v(1,2) 7", "7")):
+        with pytest.raises(ValueError, match=re.escape(repr(leftover))):
+            parse_word(text, 3)
 
 
 def test_zeta_and_minimality():

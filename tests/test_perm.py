@@ -184,6 +184,11 @@ def test_parse_permutation_formats():
         parse_permutation("(1,2)")  # cycles need n
     with pytest.raises(ValueError):
         parse_permutation("1224")
+    assert parse_permutation(" (1 2) (3,4) ", n=4).word == (2, 1, 4, 3)
+    # text the cycles leave over is named, not skipped
+    for text, leftover in (("(1,2)junk", "junk"), ("(1,2", "(1,2"), ("()", "()")):
+        with pytest.raises(ValueError, match=re.escape(repr(leftover))):
+            parse_permutation(text, 3)
 
 
 def test_special_elements():
