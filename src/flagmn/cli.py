@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or reproduction failed, 2 bad usage.
-Bad usage is any ValueError: the library validates its own inputs (the
-k-range, shapes, sizes), so the front end checks only what it parses.
+Bad usage is any ValueError.  The library validates every value (the k-range,
+partitions and shapes, hooks, power-sum degrees, sizes), so the front end
+checks only what it alone knows: integer syntax, the two entries of --hook,
+and a positive width to infer the ambient S_n from when --u is e.
 Stdout is deterministic - rerunning a command emits identical bytes, and
 ``verify`` runs the gate serially in one process.  Timings go to stderr.
 """
@@ -48,15 +50,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    shape = _parse_ints(text, "partition")
-    if any(p < 1 for p in shape) or any(
-        a < b for a, b in zip(shape, shape[1:])
-    ):
-        raise ValueError(f"{text!r} is not a partition")
-    return shape
-
-
 def _emit_expansion(exp: Expansion, fmt: str) -> None:
     if fmt == "json":
         terms = [
@@ -71,29 +64,17 @@ def _emit_expansion(exp: Expansion, fmt: str) -> None:
 
 
 def _product_shape(args) -> tuple[str, tuple]:
-    given = (args.monk_class, args.hook, args.powersum, args.shape)
+    given = (args.hook, args.powersum, args.shape)
     if sum(value is not None for value in given) != 1:
-        raise ValueError(
-            "give exactly one of --class, --hook, --powersum, --lambda"
-        )
-    if args.monk_class is not None:
-        text = args.monk_class
-        if not text.startswith("s") or not text[1:].isdigit():
-            raise ValueError(f"--class wants s<m>, got {text!r}")
-        m = int(text[1:])
-        if m < 1:
-            raise ValueError(f"--class wants s<m> with m >= 1, got {text!r}")
-        return "hook", (1, m)
+        raise ValueError("give exactly one of --hook, --powersum, --lambda")
     if args.hook is not None:
         hook = _parse_ints(args.hook, "--hook")
-        if len(hook) != 2 or min(hook) < 1:
-            raise ValueError(f"--hook wants a,b with a,b >= 1, got {args.hook!r}")
+        if len(hook) != 2:
+            raise ValueError(f"--hook wants a,b, got {args.hook!r}")
         return "hook", hook
     if args.powersum is not None:
-        if args.powersum < 1:
-            raise ValueError("--powersum wants r >= 1")
         return "powersum", (args.powersum,)
-    return "lambda", (_parse_shape(args.shape),)
+    return "lambda", (_parse_ints(args.shape, "partition"),)
 
 
 def _product_ambient(args, u, kind: str, data) -> int:
@@ -102,7 +83,13 @@ def _product_ambient(args, u, kind: str, data) -> int:
     if u is not None:
         return u.n
     # the widest row: b for the hook (a, b), r for p_r, lam_1 for (lam,)
-    return args.k + (data[0][0] if kind == "lambda" else data[-1])
+    width = data[0][0] if kind == "lambda" else data[-1]
+    if width < 1:
+        raise ValueError(
+            f"--u e takes S_n from the width of --{kind}, which must be "
+            f"positive, got {width}"
+        )
+    return args.k + width
 
 
 def _on_hook(route):
@@ -330,9 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, help="ambient size (inferred by default)")
     p.add_argument("--quantum", action="store_true")
-    p.add_argument(
-        "--class", dest="monk_class", help="s<m>: a one-row shape (the hook 1,m)"
-    )
     p.add_argument("--hook", help="a,b: hook with a rows, arm b")
     p.add_argument("--powersum", type=int, help="power sum degree")
     p.add_argument("--lambda", dest="shape", help="partition p1,p2,...")

@@ -32,7 +32,15 @@ import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .perm import Permutation, _check_k, _swapped, flatten_cycles, het, identity
+from .perm import (
+    Permutation,
+    _check_k,
+    _check_size,
+    _swapped,
+    flatten_cycles,
+    het,
+    identity,
+)
 
 __all__ = [
     "up_covers",
@@ -133,8 +141,7 @@ def bruhat_leq(x: Permutation, w: Permutation) -> bool:
     ``leq_k`` has a closed form of its own.  It stays on purpose: it is public
     API, and the ``perfbench`` tracer rebinds it, so ``--trace 1`` needs it.
     """
-    if x.n != w.n:
-        raise ValueError("size mismatch")
+    _check_size(x.n, w.n)
     xs: list[int] = []
     ws: list[int] = []
     for a, b in zip(x.word, w.word):
@@ -156,8 +163,7 @@ def leq_k(u: Permutation, w: Permutation, k: int) -> bool:
     >>> leq_k(u, w, 2), leq_k(u, w, 1)
     (True, False)
     """
-    if u.n != w.n:
-        raise ValueError("size mismatch")
+    _check_size(u.n, w.n)
     _check_k(u.n, k)
     x, y = u.word, w.word
     if any(p > q for p, q in zip(x[:k], y[:k])) or any(

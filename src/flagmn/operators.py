@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
-from .perm import Permutation, _check_k, all_permutations
+from .perm import Permutation, _check_k, _check_size, all_permutations
 from .qbruhat import QElement, q_chains
 
 __all__ = [
@@ -111,7 +111,11 @@ class OperatorWord:
         return all(a < b for a, b in self.letters)
 
 
-_LETTER_RE = re.compile(r"v\s*_?\s*[({]?\s*(\d+)\s*[,;]\s*(\d+)\s*[)}]?")
+# a letter v(a,b), v{a,b} or bare v a,b, with _ after v and ; for , allowed;
+# an opening bracket must meet its own closing one
+_LETTER_RE = re.compile(
+    r"v\s*_?\s*(?:(\()|(\{))?\s*(\d+)\s*[,;]\s*(\d+)\s*(?(1)\))(?(2)\})"
+)
 
 
 def parse_word(text: str, n: int) -> OperatorWord:
@@ -123,7 +127,7 @@ def parse_word(text: str, n: int) -> OperatorWord:
     leftover = _LETTER_RE.sub(" ", text).split()
     if leftover:
         raise ValueError(f"cannot parse {' '.join(leftover)!r} in word {text!r}")
-    letters = tuple((int(a), int(b)) for a, b in _LETTER_RE.findall(text))
+    letters = tuple((int(m[3]), int(m[4])) for m in _LETTER_RE.finditer(text))
     return OperatorWord(n, letters)
 
 
@@ -202,8 +206,7 @@ def act(
         alpha, u = u.alpha, u.w
     else:
         alpha = (0,) * (u.n - 1)
-    if word.n != u.n:
-        raise ValueError(f"word over 1..{word.n} cannot act on S_{u.n}")
+    _check_size(word.n, u.n)
     _check_k(u.n, k)
     out = _act_word(word.application_order, u.word, u.n)
     if out is None or not out[0] <= k < out[1]:
@@ -299,8 +302,7 @@ def equivalent_words(v: OperatorWord, w: OperatorWord) -> bool:
     Plain permutations suffice as inputs: the action on q^alpha u differs
     from the action on u only by the fixed prefactor q^alpha.
     """
-    if v.n != w.n:
-        raise ValueError(f"ambient mismatch: 1..{v.n} vs 1..{w.n}")
+    _check_size(v.n, w.n)
     pairs = itertools.zip_longest(_nonzero_outcomes(v), _nonzero_outcomes(w))
     return all(x == y for x, y in pairs)
 

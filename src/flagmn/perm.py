@@ -112,8 +112,7 @@ class Permutation:
         >>> str(zeta * u)
         '6274135'
         """
-        if self.n != other.n:
-            raise ValueError("size mismatch; extend() first")
+        _check_size(self.n, other.n)
         w = self.word
         return Permutation._trusted(tuple(w[v - 1] for v in other.word))
 
@@ -231,10 +230,24 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
 
 
-def _check_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
-    """The shape rule at k on S_n: lam without zeros fits in k x (n - k)."""
-    _check_k(n, k)
+def _check_size(m: int, n: int) -> None:
+    """The size rule of every function taking two arguments that share S_n."""
+    if m != n:
+        raise ValueError(f"size mismatch: S_{m} and S_{n}")
+
+
+def _check_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The partition rule: lam without zeros is positive and weakly decreasing."""
     lam = tuple(v for v in lam if v)
+    if any(v < 0 for v in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"not a partition: {lam!r}")
+    return lam
+
+
+def _check_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    """The shape rule at k on S_n: lam is a partition inside k x (n - k)."""
+    _check_k(n, k)
+    lam = _check_partition(lam)
     if not fits_rectangle(lam, k, n - k):
         raise ValueError(
             f"shape {lam} does not fit in the {k} x {n - k} rectangle"
@@ -381,7 +394,7 @@ def hook_partition(a: int, b: int) -> tuple[int, ...]:
     (4, 1, 1)
     """
     if a < 1 or b < 1:
-        raise ValueError("hook needs a >= 1 and b >= 1")
+        raise ValueError(f"hook needs a >= 1 and b >= 1, got a={a}, b={b}")
     return (b,) + (1,) * (a - 1)
 
 
@@ -427,12 +440,7 @@ def grassmannian(lam: tuple[int, ...], k: int, n: int) -> Permutation:
     >>> str(grassmannian((1,), 4, 7))
     '1235467'
     """
-    lam = tuple(v for v in lam if v != 0)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(
-        v < 0 for v in lam
-    ):
-        raise ValueError(f"not a partition: {lam!r}")
-    _check_shape(lam, k, n)
+    lam = _check_shape(lam, k, n)
     padded = lam + (0,) * (k - len(lam))
     first = [padded[k - j] + j for j in range(1, k + 1)]
     rest = sorted(set(range(1, n + 1)) - set(first))

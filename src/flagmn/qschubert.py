@@ -41,8 +41,10 @@ from .perm import (
     Permutation,
     _check_k,
     _check_shape,
+    _check_size,
     _swapped,
     cyclic_shift,
+    hook_partition,
     longest_element,
 )
 from .qbruhat import QElement, q_ij, q_up_covers
@@ -51,7 +53,6 @@ from .schubert import (
     Poly,
     _SparsePoly,
     _apply_x,
-    _check_hook_args,
     _check_powersum_args,
     _hook_coefficient,
     _minimal_rule,
@@ -125,13 +126,8 @@ class QLRQuery:
 
     def __post_init__(self):
         n = self.u.n
-        if self.w.n != n:
-            raise ValueError("u and w must share an ambient S_n")
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        if len(self.alpha) != n - 1:
-            raise ValueError(f"alpha needs {n - 1} walls, got {len(self.alpha)}")
-        if any(a < 0 for a in self.alpha):
-            raise ValueError(f"negative exponent in {self.alpha!r}")
+        _check_size(n, self.w.n)
+        object.__setattr__(self, "alpha", QElement(self.alpha, self.w).alpha)
         object.__setattr__(self, "lam", _check_shape(self.lam, self.k, n))
 
     @classmethod
@@ -148,6 +144,9 @@ def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
     Finds a wall i with sg_i(u) = 1, sg_i(w) = 0 and varpi_i(alpha) = 1
     (= 2 when i = k) and moves the query to (u s_i, w s_i, alpha - e_i).
     Any qualifying wall yields the same coefficient; the smallest is taken.
+    The test sg_i(w) = 0 is needed for arbitrary queries: the terms a
+    product reaches pass it anyway, but without it u = 231, w = 132,
+    alpha = (1, 1), lam = (1), k = 1 reduces to 1, where the coefficient is 0.
     """
     if not any(query.alpha):
         raise ValueError("reduction needs a nonzero exponent vector")
@@ -237,8 +236,7 @@ def o_shift_monomial(u: Permutation, w: Permutation) -> tuple[int, ...]:
     o(u,w) = o(u,v) + o(v,w) for any u, v, w in S_n.
     """
     n = u.n
-    if w.n != n:
-        raise ValueError("size mismatch")
+    _check_size(n, w.n)
     i, j = w.position(n), u.position(n)
     if i == j:
         return (0,) * (n - 1)
@@ -306,7 +304,7 @@ def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
     zeta = w u^{-1}, for every minimal interval [u, q^alpha w]_k^q of rank
     a + b - 1.
     """
-    _check_hook_args(u, a, b, k)
+    _check_shape(hook_partition(a, b), k, u.n)
     return _minimal_rule(u, k, a + b - 1, True, _hook_coefficient(a))
 
 

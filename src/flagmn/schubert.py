@@ -35,7 +35,17 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .kbruhat import _cover_swaps, _covers, _peakless_binomial, up_covers
-from .perm import Permutation, _check_k, _swapped, from_code, grassmannian
+from .perm import (
+    Permutation,
+    _check_k,
+    _check_partition,
+    _check_shape,
+    _check_size,
+    _swapped,
+    from_code,
+    grassmannian,
+    hook_partition,
+)
 from .qbruhat import QElement
 
 __all__ = [
@@ -211,7 +221,7 @@ def schubert_poly(w: Permutation) -> Poly:
 
 def schur_poly(lam: tuple[int, ...], k: int) -> Poly:
     """s_lambda(x_1, ..., x_k), via the Grassmannian Schubert polynomial."""
-    lam = tuple(v for v in lam if v)
+    lam = _check_partition(lam)
     if not lam:
         return Poly.one()
     if len(lam) > k:
@@ -284,8 +294,7 @@ class Expansion:
         return all(x.is_classical() for x in self.terms)
 
     def __add__(self, other: "Expansion") -> "Expansion":
-        if other.n != self.n:
-            raise ValueError("ambient size mismatch")
+        _check_size(self.n, other.n)
         out = dict(self.terms)
         for x, c in other.terms.items():
             out[x] = out.get(x, 0) + c
@@ -330,14 +339,6 @@ class Expansion:
 #
 # A class q^alpha w is the tuple pair (alpha, w.word); ``quantum`` switches
 # the quantum edges on.
-
-
-def _check_hook_args(u: Permutation, a: int, b: int, k: int) -> None:
-    _check_k(u.n, k)
-    if not 1 <= a <= k:
-        raise ValueError(f"hook height a={a} must be in 1..k={k}")
-    if not 1 <= b <= u.n - k:
-        raise ValueError(f"hook width b={b} must be in 1..n-k={u.n - k}")
 
 
 def _check_powersum_args(u: Permutation, r: int, k: int) -> None:
@@ -463,7 +464,7 @@ def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
     """S_u times s_{(b, 1^(a-1))}(x_1..x_k), summing peakless chains of height a."""
-    _check_hook_args(u, a, b, k)
+    _check_shape(hook_partition(a, b), k, u.n)
     n = u.n
     r = a + b - 1
     counts: dict[Permutation, int] = {}
@@ -488,7 +489,7 @@ def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     The coefficient of S_w is C(s - 1, het - a) for zeta = w u^{-1} minimal
     with #supp - #cycles = a + b - 1.
     """
-    _check_hook_args(u, a, b, k)
+    _check_shape(hook_partition(a, b), k, u.n)
     return _minimal_rule(u, k, a + b - 1, False, _hook_coefficient(a))
 
 

@@ -1,6 +1,9 @@
 """CLI plumbing: flag parsing, output formats and exit codes."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -18,7 +21,7 @@ def run(capsys, *argv):
 
 def test_quantum_monk_product(capsys):
     code, out, _ = run(
-        capsys, "product", "--quantum", "--u", "1432", "--k", "2", "--class", "s1"
+        capsys, "product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1,1"
     )
     assert code == 0
     assert out == "+1 2431\n+1 3412\n+1 q^(0,1,0) 1342\n+1 q^(0,1,1) 1234\n"
@@ -28,6 +31,20 @@ def test_identity_hook_product_infers_ambient(capsys):
     code, out, _ = run(capsys, "product", "--u", "e", "--k", "1", "--hook", "1,1")
     assert code == 0
     assert out == "+1 21\n"
+
+
+def test_value_errors_come_from_the_library(capsys):
+    product = ("product", "--u", "1432", "--k", "2")
+    for flag, value, want in (
+        ("--lambda", "1,3", "not a partition: (1, 3)"),
+        ("--hook", "3,1", "shape (1, 1, 1) does not fit in the 2 x 2 rectangle"),
+        ("--hook", "0,1", "hook needs a >= 1 and b >= 1, got a=0, b=1"),
+        ("--powersum", "0", "power sum degree must be positive, got 0"),
+    ):
+        assert run(capsys, *product, flag, value) == (2, "", f"usage error: {want}\n")
+    # with --u e the ambient S_n comes from the width, so it must be positive
+    code, _, err = run(capsys, "product", "--u", "e", "--k", "1", "--powersum", "0")
+    assert code == 2 and err.endswith("must be positive, got 0\n")
 
 
 def test_comma_separated_u_infers_the_same_ambient(capsys):
@@ -80,7 +97,7 @@ def test_classical_bases_agree(capsys):
 def test_product_json_schema(capsys):
     code, out, _ = run(
         capsys,
-        "product", "--quantum", "--u", "1432", "--k", "2", "--class", "s1",
+        "product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1,1",
         "--format", "json",
     )
     assert code == 0
@@ -196,10 +213,10 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("product", "--u", "14g2", "--k", "2", "--class", "s1"),
+        ("product", "--u", "14g2", "--k", "2", "--hook", "1,1"),
         ("product", "--u", "1432", "--k", "2"),
-        ("product", "--u", "1432", "--k", "2", "--class", "s1", "--powersum", "2"),
-        ("product", "--u", "1432", "--k", "9", "--class", "s1"),
+        ("product", "--u", "1432", "--k", "2", "--hook", "1,1", "--powersum", "2"),
+        ("product", "--u", "1432", "--k", "9", "--hook", "1,1"),
         ("product", "--u", "1432", "--k", "2", "--hook", "1"),
         ("product", "--u", "1432", "--k", "2", "--lambda", "1,2"),
         ("product", "--u", "1432", "--k", "2", "--hook", "1,1", "--basis", "fgp-oracle"),
@@ -214,7 +231,7 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         # dot draws the word only: an action is refused, not dropped
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--format", "dot"),
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--k", "1", "--format", "dot"),
-        ("product", "--u", "1432", "--n", "3", "--k", "1", "--class", "s1"),
+        ("product", "--u", "1432", "--n", "3", "--k", "1", "--hook", "1,1"),
         ("product", "--quantum", "--u", "12345678", "--k", "1", "--lambda", "1"),
         # the target alone picks the order: interval and chains have no --quantum
         ("interval", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
@@ -222,6 +239,12 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         # text the word parser cannot read is refused, not skipped
         ("operators", "--word", "v(1,2) w(2,3)", "--n", "3"),
         ("operators", "--word", "v(1,2) 7", "--n", "3"),
+        # --class s<m> was a third spelling of --hook 1,m and --lambda m
+        ("product", "--u", "1432", "--k", "2", "--class", "s1"),
+        # a bracket must be closed by its own partner
+        ("operators", "--word", "v(1,2", "--n", "3"),
+        ("operators", "--word", "v{1,2)", "--n", "3"),
+        ("operators", "--word", "v_(1,2}", "--n", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -238,7 +261,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         (*product, "--format", "json"),
         product,
         ("product", "--u", "1432", "--k", "2", "--basis", "nope"),
-        ("product", "--u", "1432", "--k", "2", "--class", "s1"),
+        ("product", "--u", "1432", "--k", "2", "--hook", "1,1"),
     ]
     alone = []
     for argv in calls:
@@ -248,3 +271,20 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert [run(capsys, *argv) for argv in calls] == alone
     assert [code for code, _out, _err in alone] == [0, 0, 2, 0]
     assert alone[0][1] != alone[1][1]
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("flagmn ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_every_readme_command_runs(capsys, line):
+    code, _out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err

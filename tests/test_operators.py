@@ -133,6 +133,13 @@ def test_word_validation():
     for text, leftover in (("v(1,2) w(2,3)", "w(2,3)"), ("v(1,2) 7", "7")):
         with pytest.raises(ValueError, match=re.escape(repr(leftover))):
             parse_word(text, 3)
+    # a bracket must be closed by its own partner
+    for text in ("v(1,2", "v{1,2)", "v_(1,2}"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_word(text, 3)
+    assert parse_word("v(1,2) v{2,3} v_(1;3) v 2,1", 3).letters == (
+        (1, 2), (2, 3), (1, 3), (2, 1)
+    )
 
 
 def test_zeta_and_minimality():

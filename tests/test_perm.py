@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flagmn.perm import (
     Permutation,
+    _check_shape,
     all_permutations,
     cyclic_shift,
     fits_rectangle,
@@ -25,9 +26,11 @@ from flagmn.perm import (
     partitions,
 )
 import flagmn as fm
-from flagmn.kbruhat import up_covers
+from flagmn.kbruhat import bruhat_leq, up_covers
+from flagmn.operators import equivalent_words
 from flagmn.qbruhat import q_leq, q_up_covers
-from flagmn.qschubert import quantum_schur
+from flagmn.qschubert import o_shift_monomial, quantum_schur
+from flagmn.schubert import Poly, poly_product, schur_poly
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
 ZETA2 = from_cycles([(1, 7, 4), (3, 6)], 7)
@@ -258,6 +261,14 @@ SHAPE_RULE = {
     "fgp_product": lambda lam: fm.fgp_product(U4, lam, 2),
     "QLRQuery": lambda lam: fm.QLRQuery(U4, U4, (0, 0, 0), lam, 2),
     "ll_reduce_product": lambda lam: fm.ll_reduce_product(U4, lam, 2),
+    # a hook (b, 1^(a-1)) is the shape lam with a = len(lam) and b = lam[0]
+    "hook_multiply_chains": lambda lam: fm.hook_multiply_chains(
+        U4, len(lam), lam[0], 2
+    ),
+    "hook_multiply_minimal": lambda lam: fm.hook_multiply_minimal(
+        U4, len(lam), lam[0], 2
+    ),
+    "q_hook_multiply": lambda lam: fm.q_hook_multiply(U4, len(lam), lam[0], 2),
 }
 
 
@@ -267,3 +278,51 @@ def test_every_shape_function_states_the_one_shape_rule(name, lam):
     want = rf"^shape {re.escape(str(lam))} does not fit in the 2 x 2 rectangle$"
     with pytest.raises(ValueError, match=want):
         SHAPE_RULE[name](lam)
+
+
+# every function taking a partition, hooks aside (a hook is always one)
+PARTITION_RULE = {
+    name: rule for name, rule in SHAPE_RULE.items() if "hook" not in name
+} | {
+    "_check_shape": lambda lam: _check_shape(lam, 2, 4),
+    "schur_poly": lambda lam: schur_poly(lam, 2),
+    "schur_multiply": lambda lam: fm.schur_multiply(U4, lam, 2),
+    "poly_product": lambda lam: poly_product(U4, lam, 2),
+}
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, -1), (1, 3)])
+@pytest.mark.parametrize("name", list(PARTITION_RULE))
+def test_every_partition_function_states_the_one_partition_rule(name, lam):
+    with pytest.raises(ValueError, match=rf"^not a partition: {re.escape(str(lam))}$"):
+        PARTITION_RULE[name](lam)
+
+
+def test_classical_routes_take_partitions_outside_the_rectangle():
+    # s_lam is 0 in H*Fl_4 for lam wider than n - k = 2, and 0 for more than k parts
+    assert not fm.schur_multiply(U4, (3,), 2)
+    assert schur_poly((1, 1, 1), 2) == Poly()
+
+
+# -- the one size rule ---------------------------------------------------------
+
+U3 = Permutation((2, 1, 3))
+SIZE_RULE = {
+    "Permutation.__mul__": lambda: U4 * U3,
+    "bruhat_leq": lambda: bruhat_leq(U4, U3),
+    "leq_k": lambda: fm.leq_k(U4, U3, 1),
+    "q_interval": lambda: fm.q_interval(U4, fm.QElement((0, 0), U3), 1),
+    "QLRQuery": lambda: fm.QLRQuery(U4, U3, (0, 0, 0), (1,), 1),
+    "o_shift_monomial": lambda: o_shift_monomial(U4, U3),
+    "Expansion.__add__": lambda: fm.Expansion.unit(U4) + fm.Expansion.unit(U3),
+    "act": lambda: fm.act(fm.OperatorWord(4, ((1, 2),)), U3, 1),
+    "equivalent_words": lambda: equivalent_words(
+        fm.OperatorWord(4, ((1, 2),)), fm.OperatorWord(3, ((1, 2),))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SIZE_RULE))
+def test_every_two_size_function_states_the_one_size_rule(name):
+    with pytest.raises(ValueError, match=r"^size mismatch: S_4 and S_3$"):
+        SIZE_RULE[name]()

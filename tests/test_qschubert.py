@@ -564,6 +564,23 @@ def test_quantum_lr_zero_off_support():
             assert quantum_lr(QLRQuery(u, w, alpha, (1,), 2)) == want
 
 
+def test_quantum_lr_matches_fgp_on_every_s3_query():
+    # arbitrary queries, not only the terms a product reaches: a reduction
+    # step that ignores sg_i(w) = 0 gives 1 at u = 231, w = 132,
+    # alpha = (1, 1), lam = (1), k = 1, where the coefficient is 0
+    checked = 0
+    for k, lam in ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1, 1))):
+        for u in all_permutations(3):
+            exp = fgp_product(u, lam, k)
+            for w in all_permutations(3):
+                for alpha in itertools.product(range(3), repeat=2):
+                    if any(alpha):
+                        want = exp.coefficient(QElement(alpha, w))
+                        assert quantum_lr(QLRQuery(u, w, alpha, lam, k)) == want
+                        checked += 1
+    assert checked == 1152
+
+
 def _rectangle_shapes(k, n):
     return [
         lam for size in range(k * (n - k) + 1) for lam in partitions(size, n - k, k)
