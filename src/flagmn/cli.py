@@ -21,7 +21,7 @@ from typing import Sequence
 from . import verification
 from .kbruhat import chains, interval
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
-from .perm import hook_partition, identity, parse_permutation
+from .perm import _check_hook, identity, parse_permutation
 from .qbruhat import parse_qelement, q_chains, q_interval
 from .qschubert import (
     fgp_product,
@@ -85,16 +85,13 @@ def _product_ambient(args, u, kind: str, data) -> int:
     # the widest row: b for the hook (a, b), r for p_r, lam_1 for (lam,)
     width = data[0][0] if kind == "lambda" else data[-1]
     if width < 1:
-        raise ValueError(
-            f"--u e takes S_n from the width of --{kind}, which must be "
-            f"positive, got {width}"
-        )
+        raise ValueError(f"--u e reads S_n from a positive --{kind} width, got {width}")
     return args.k + width
 
 
 def _on_hook(route):
     """A route on shapes (u, lam, k) as a route on hooks (u, a, b, k)."""
-    return lambda u, a, b, k: route(u, hook_partition(a, b), k)
+    return lambda u, a, b, k: route(u, _check_hook(a, b, k, u.n), k)
 
 
 _FGP = "the FGP quantization oracle"
@@ -228,10 +225,8 @@ def cmd_chains(args) -> int:
 
 def cmd_operators(args) -> int:
     word = parse_word(args.word, args.n)
-    if args.k is not None and args.u is None:
-        raise ValueError("--k needs --u")
-    if args.u is not None and args.k is None:
-        raise ValueError("--u needs --k")
+    if (args.k is None) != (args.u is None):
+        raise ValueError("--u and --k go together")
     if args.format == "dot":
         if args.u is not None:
             raise ValueError("--format dot draws the word only; drop --u and --k")

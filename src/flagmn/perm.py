@@ -237,11 +237,10 @@ def _check_size(m: int, n: int) -> None:
 
 
 def _check_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """The partition rule: lam without zeros is positive and weakly decreasing."""
-    lam = tuple(v for v in lam if v)
+    """The partition rule: weakly decreasing, no part negative; drops the zeros."""
     if any(v < 0 for v in lam) or any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"not a partition: {lam!r}")
-    return lam
+    return tuple(v for v in lam if v)
 
 
 def _check_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
@@ -249,10 +248,20 @@ def _check_shape(lam: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     _check_k(n, k)
     lam = _check_partition(lam)
     if not fits_rectangle(lam, k, n - k):
-        raise ValueError(
-            f"shape {lam} does not fit in the {k} x {n - k} rectangle"
-        )
+        raise ValueError(f"shape {lam} does not fit in the {k} x {n - k} rectangle")
     return lam
+
+
+def _check_hook(a: int, b: int, k: int, n: int) -> tuple[int, ...]:
+    """The shape rule for the hook (b, 1^(a-1)); returns the hook."""
+    _check_k(n, k)
+    # cut to n rows, the hook is refused exactly when the whole one is, and a
+    # huge a is refused without building its a rows
+    cut = hook_partition(min(a, n), b)
+    try:
+        return _check_shape(cut, k, n)
+    except ValueError as err:
+        raise ValueError(f"hook a={a}, b={b}: {err}") from None
 
 
 def _swapped(word: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:

@@ -25,8 +25,16 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .kbruhat import Chain, LabeledPoset, _covers, _interval, _walk, poset_chains
-from .kbruhat import up_covers  # noqa: F401 - unused; perfbench's tracer test reads it
+from .kbruhat import (
+    Chain,
+    LabeledPoset,
+    _interval,
+    _quantum_swaps,
+    _raised,
+    _walk,
+    poset_chains,
+    up_covers,
+)
 from .perm import Permutation, _check_k, _check_size, _swapped, parse_permutation
 
 __all__ = [
@@ -124,12 +132,12 @@ def q_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
     >>> [(lab, str(y)) for lab, y in q_up_covers(x, 2)]
     [(1, '3412'), (1, '2431'), (4, 'q^(0,1,0) 1342'), (4, 'q^(0,1,1) 1234')]
     """
+    out = [(lab, QElement._trusted(x.alpha, w)) for lab, w in up_covers(x.w, k)]
     word = x.w.word
-    _check_k(len(word), k)
-    return [
-        (word[i], QElement._trusted(lifted, Permutation._trusted(_swapped(word, i, l))))
-        for i, l, lifted in _covers(x.alpha, word, k, True)
-    ]
+    for i, l in _quantum_swaps(word, k):
+        w = Permutation._trusted(_swapped(word, i, l))
+        out.append((word[i], QElement._trusted(_raised(x.alpha, i, l), w)))
+    return out
 
 
 def _bottom(u: Permutation, t: QElement, k: int) -> QElement:

@@ -39,12 +39,12 @@ from functools import lru_cache
 from .kbruhat import _covers
 from .perm import (
     Permutation,
+    _check_hook,
     _check_k,
     _check_shape,
     _check_size,
     _swapped,
     cyclic_shift,
-    hook_partition,
     longest_element,
 )
 from .qbruhat import QElement, q_ij, q_up_covers
@@ -245,14 +245,12 @@ def o_shift_monomial(u: Permutation, w: Permutation) -> tuple[int, ...]:
 
 
 def o_shift_element(u: Permutation, x: QElement) -> QElement:
-    """Where the cyclic shift sends q^gamma y inside [u, q^alpha w]_k^q."""
-    n = u.n
+    """Where the cyclic shift sends q^gamma y inside [u, q^alpha w]_k^q.
+
+    A shift that leaves S_n[q] has a negative exponent, which QElement refuses.
+    """
     alpha = tuple(map(sum, zip(x.alpha, o_shift_monomial(u, x.w))))
-    if any(a < 0 for a in alpha):
-        raise ValueError(
-            f"cyclic shift of {x} relative to {u} leaves S_{n}[q]"
-        )
-    return QElement(alpha, cyclic_shift(n) * x.w)
+    return QElement(alpha, cyclic_shift(u.n) * x.w)
 
 
 def w0_element(x: QElement) -> QElement:
@@ -264,12 +262,11 @@ def w0_element(x: QElement) -> QElement:
 def rho_element(alpha: tuple[int, ...], x: QElement) -> QElement:
     """q^gamma y -> q^{w0(alpha - gamma)} y w0, the order-reversing partner.
 
-    ``alpha`` is the exponent vector at the top of the ambient interval.
+    ``alpha`` is the exponent vector at the top of the ambient interval; an x
+    not below it gives a negative exponent, which QElement refuses.
     """
     w0 = longest_element(x.w.n)
     gamma = tuple(reversed(tuple(a - g for a, g in zip(alpha, x.alpha))))
-    if any(a < 0 for a in gamma):
-        raise ValueError(f"{x} does not sit below q^{alpha} in this interval")
     return QElement(gamma, x.w * w0)
 
 
@@ -304,7 +301,7 @@ def q_hook_multiply(u: Permutation, a: int, b: int, k: int) -> Expansion:
     zeta = w u^{-1}, for every minimal interval [u, q^alpha w]_k^q of rank
     a + b - 1.
     """
-    _check_shape(hook_partition(a, b), k, u.n)
+    _check_hook(a, b, k, u.n)
     return _minimal_rule(u, k, a + b - 1, True, _hook_coefficient(a))
 
 

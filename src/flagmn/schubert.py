@@ -37,14 +37,13 @@ from typing import Iterable, Iterator
 from .kbruhat import _cover_swaps, _covers, _peakless_binomial, up_covers
 from .perm import (
     Permutation,
+    _check_hook,
     _check_k,
     _check_partition,
-    _check_shape,
     _check_size,
     _swapped,
     from_code,
     grassmannian,
-    hook_partition,
 )
 from .qbruhat import QElement
 
@@ -464,7 +463,7 @@ def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
     """S_u times s_{(b, 1^(a-1))}(x_1..x_k), summing peakless chains of height a."""
-    _check_shape(hook_partition(a, b), k, u.n)
+    _check_hook(a, b, k, u.n)
     n = u.n
     r = a + b - 1
     counts: dict[Permutation, int] = {}
@@ -489,7 +488,7 @@ def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     The coefficient of S_w is C(s - 1, het - a) for zeta = w u^{-1} minimal
     with #supp - #cycles = a + b - 1.
     """
-    _check_shape(hook_partition(a, b), k, u.n)
+    _check_hook(a, b, k, u.n)
     return _minimal_rule(u, k, a + b - 1, False, _hook_coefficient(a))
 
 

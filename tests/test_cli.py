@@ -37,14 +37,25 @@ def test_value_errors_come_from_the_library(capsys):
     product = ("product", "--u", "1432", "--k", "2")
     for flag, value, want in (
         ("--lambda", "1,3", "not a partition: (1, 3)"),
-        ("--hook", "3,1", "shape (1, 1, 1) does not fit in the 2 x 2 rectangle"),
+        ("--lambda", "0,1", "not a partition: (0, 1)"),
+        (
+            "--hook",
+            "3,1",
+            "hook a=3, b=1: shape (1, 1, 1) does not fit in the 2 x 2 rectangle",
+        ),
         ("--hook", "0,1", "hook needs a >= 1 and b >= 1, got a=0, b=1"),
+        (
+            "--hook",
+            "1000000,1",
+            "hook a=1000000, b=1: shape (1, 1, 1, 1) does not fit in the 2 x 2 "
+            "rectangle",
+        ),
         ("--powersum", "0", "power sum degree must be positive, got 0"),
     ):
         assert run(capsys, *product, flag, value) == (2, "", f"usage error: {want}\n")
     # with --u e the ambient S_n comes from the width, so it must be positive
     code, _, err = run(capsys, "product", "--u", "e", "--k", "1", "--powersum", "0")
-    assert code == 2 and err.endswith("must be positive, got 0\n")
+    assert code == 2 and err.endswith("positive --powersum width, got 0\n")
 
 
 def test_comma_separated_u_infers_the_same_ambient(capsys):
@@ -245,6 +256,16 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("operators", "--word", "v(1,2", "--n", "3"),
         ("operators", "--word", "v{1,2)", "--n", "3"),
         ("operators", "--word", "v_(1,2}", "--n", "3"),
+        # a zero before a positive part is not a partition
+        ("product", "--u", "1432", "--k", "2", "--lambda", "0,1"),
+        # a huge hook is refused without building its rows, on every route
+        ("product", "--u", "1432", "--k", "2", "--hook", "1000000,1"),
+        ("product", "--u", "1432", "--k", "2", "--hook", "1000000,1", "--basis", "minimal"),
+        ("product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1000000,1"),
+        ("product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1000000,1",
+         "--basis", "ll-reduce"),
+        ("product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1000000,1",
+         "--basis", "fgp-oracle"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -261,14 +261,6 @@ SHAPE_RULE = {
     "fgp_product": lambda lam: fm.fgp_product(U4, lam, 2),
     "QLRQuery": lambda lam: fm.QLRQuery(U4, U4, (0, 0, 0), lam, 2),
     "ll_reduce_product": lambda lam: fm.ll_reduce_product(U4, lam, 2),
-    # a hook (b, 1^(a-1)) is the shape lam with a = len(lam) and b = lam[0]
-    "hook_multiply_chains": lambda lam: fm.hook_multiply_chains(
-        U4, len(lam), lam[0], 2
-    ),
-    "hook_multiply_minimal": lambda lam: fm.hook_multiply_minimal(
-        U4, len(lam), lam[0], 2
-    ),
-    "q_hook_multiply": lambda lam: fm.q_hook_multiply(U4, len(lam), lam[0], 2),
 }
 
 
@@ -280,10 +272,32 @@ def test_every_shape_function_states_the_one_shape_rule(name, lam):
         SHAPE_RULE[name](lam)
 
 
-# every function taking a partition, hooks aside (a hook is always one)
-PARTITION_RULE = {
-    name: rule for name, rule in SHAPE_RULE.items() if "hook" not in name
-} | {
+# the hook (b, 1^(a-1)) goes through the shape rule, and names its a and b
+HOOK_RULE = {
+    "hook_multiply_chains": fm.hook_multiply_chains,
+    "hook_multiply_minimal": fm.hook_multiply_minimal,
+    "q_hook_multiply": fm.q_hook_multiply,
+}
+
+
+@pytest.mark.parametrize(
+    "a, b, shape",
+    [
+        (1, 3, "(3,)"),
+        (3, 1, "(1, 1, 1)"),
+        # a hook is tried cut to n rows, so a huge a is refused at once
+        (10**6, 1, "(1, 1, 1, 1)"),
+    ],
+)
+@pytest.mark.parametrize("name", list(HOOK_RULE))
+def test_every_hook_function_states_the_one_shape_rule(name, a, b, shape):
+    want = rf"^hook a={a}, b={b}: shape {re.escape(shape)} does not fit in the 2 x 2 rectangle$"
+    with pytest.raises(ValueError, match=want):
+        HOOK_RULE[name](U4, a, b, 2)
+
+
+# every function taking a partition
+PARTITION_RULE = SHAPE_RULE | {
     "_check_shape": lambda lam: _check_shape(lam, 2, 4),
     "schur_poly": lambda lam: schur_poly(lam, 2),
     "schur_multiply": lambda lam: fm.schur_multiply(U4, lam, 2),
@@ -291,11 +305,16 @@ PARTITION_RULE = {
 }
 
 
-@pytest.mark.parametrize("lam", [(1, 2), (2, -1), (1, 3)])
+@pytest.mark.parametrize("lam", [(1, 2), (2, -1), (1, 3), (0, 1), (1, 0, 1)])
 @pytest.mark.parametrize("name", list(PARTITION_RULE))
 def test_every_partition_function_states_the_one_partition_rule(name, lam):
     with pytest.raises(ValueError, match=rf"^not a partition: {re.escape(str(lam))}$"):
         PARTITION_RULE[name](lam)
+
+
+def test_trailing_zeros_are_dropped():
+    assert _check_shape((2, 0), 2, 4) == (2,)
+    assert grassmannian((1, 0, 0), 2, 4) == grassmannian((1,), 2, 4)
 
 
 def test_classical_routes_take_partitions_outside_the_rectangle():
