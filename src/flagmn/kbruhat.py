@@ -12,8 +12,8 @@ strictly increases afterwards.
 
 A permutation zeta is *minimal* when lrank(zeta) = #support(zeta) - (number
 of nontrivial cycles), where lrank(zeta) = length(zeta u) - length(u) for any
-witness pair u <=_k zeta u.  Minimality and lrank only depend on the flattened
-shape of zeta, so ``lrank`` searches for a witness of the flattened zeta.
+witness pair u <=_k zeta u.  Minimality and lrank depend only on the shape of
+zeta, and ``find_witness`` builds a witness from zeta's values, with no search.
 
 Both orders run on kernels kept here, on one-line (alpha, word) tuples:
 ``_cover_swaps`` states the rule above, ``_quantum_swaps`` the quantum rule
@@ -37,7 +37,6 @@ from .perm import (
     _check_k,
     _check_size,
     _swapped,
-    flatten_cycles,
     het,
     identity,
 )
@@ -391,25 +390,25 @@ def peakless_chain_counts(
 
 
 def find_witness(zeta: Permutation) -> tuple[Permutation, int]:
-    """Some (u, k) with u <=_k zeta u, searched over position-compatible u."""
+    """A witness (u, k) with u <=_k zeta u, built from zeta's values.
+
+    u lists the values zeta raises, then those it lowers, each decreasing,
+    then its fixed points increasing; k counts the raised values.  ``leq_k``
+    accepts it: values rise on the left block and not on the right, and u
+    orders inside a block only two fixed points, or a lowered v before a
+    larger fixed point x, which zeta u keeps in order: zeta(v) < v < x.
+
+    >>> u, k = find_witness(Permutation((3, 1, 2, 4)))
+    >>> str(u), k
+    ('1324', 1)
+    """
     if zeta.is_identity():
         return identity(max(zeta.n, 2)), 1
-    n = zeta.n
-    supp = sorted(zeta.support())
-    rising = [v for v in supp if zeta(v) > v]
-    falling = [v for v in supp if zeta(v) < v]
-    fixed = [v for v in range(1, n + 1) if zeta(v) == v]
-    h = len(rising)
-    for k in range(max(h, 1), min(n - len(supp) + h, n - 1) + 1):
-        for fixed_left in itertools.combinations(fixed, k - h):
-            left_vals = rising + list(fixed_left)
-            right_vals = falling + [v for v in fixed if v not in fixed_left]
-            for left in itertools.permutations(left_vals):
-                for right in itertools.permutations(right_vals):
-                    u = Permutation(left + right)
-                    if leq_k(u, zeta * u, k):
-                        return u, k
-    raise ValueError(f"no witness found for {zeta}")
+    down = range(zeta.n, 0, -1)
+    raised = [v for v in down if zeta(v) > v]
+    lowered = [v for v in down if zeta(v) < v]
+    fixed = [v for v in range(1, zeta.n + 1) if zeta(v) == v]
+    return Permutation._trusted(tuple(raised + lowered + fixed)), len(raised)
 
 
 def lrank(zeta: Permutation) -> int:
@@ -417,11 +416,10 @@ def lrank(zeta: Permutation) -> int:
 
     Independent of the witness; depends only on the flattened shape.
     """
-    z = flatten_cycles(zeta)
-    if z.is_identity():
+    if zeta.is_identity():
         return 0
-    u, _k = find_witness(z)
-    return (z * u).length - u.length
+    u, _k = find_witness(zeta)
+    return (zeta * u).length - u.length
 
 
 def is_minimal(zeta: Permutation) -> bool:
@@ -449,19 +447,17 @@ def _peakless_binomial(s: int, h: int, a: int) -> int:
 
 
 def crossing(a_supp: Iterable[int], b_supp: Iterable[int]) -> bool:
-    """Whether two supports interleave: l1 < m1 < l2 < m2 across the two sets.
+    """Whether two disjoint supports interleave: l1 < m1 < l2 < m2 across the two sets.
+
+    Read around the circle 1..n, the sets change places twice when each is
+    one arc and more often when they interleave, so a cyclic relabelling,
+    which turns the circle, keeps the answer.
 
     >>> crossing({1, 3}, {2, 4})
     True
     >>> crossing({1, 4}, {2, 3})
     False
     """
-    A = sorted(a_supp)
-    B = sorted(b_supp)
-    for x1, x2 in itertools.combinations(A, 2):
-        if any(x1 < m < x2 for m in B) and any(m > x2 for m in B):
-            return True
-    for m1, m2 in itertools.combinations(B, 2):
-        if any(m1 < l < m2 for l in A) and any(l > m2 for l in A):
-            return True
-    return False
+    marked = sorted([(v, 0) for v in a_supp] + [(v, 1) for v in b_supp])
+    sides = [side for _v, side in marked]
+    return sum(map(operator.ne, sides, sides[1:] + sides[:1])) > 2

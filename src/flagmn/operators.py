@@ -429,19 +429,22 @@ def _chain_linked(app: Sequence[tuple[int, int]]) -> bool:
     return all(nxt[0] == prev[1] for prev, nxt in zip(app, app[1:]))
 
 
-def _is_classical_row(app: Sequence[tuple[int, int]]) -> bool:
-    """Whether letters listed in application order form a classical row."""
-    if any(a > b for a, b in app):
-        return False
+def _row_shifts(app: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """Every power r < n whose cyclic shift makes ``app`` a classical row.
+
+    A cyclic shift keeps the components, their chain links and, read around
+    the circle, their crossings; only which letters are classical depends on r.
+    """
     comps = _components(app)
-    return all(map(_chain_linked, comps)) and not _components_cross(comps)
+    if not all(map(_chain_linked, comps)) or _components_cross(comps):
+        return []
+    return [
+        r for r in range(n) if all((a - 1 + r) % n < (b - 1 + r) % n for a, b in app)
+    ]
 
 
 def _row_shift(app: Sequence[tuple[int, int]], n: int) -> int | None:
-    for r in range(n):
-        if _is_classical_row(_shifted(app, r, n)):
-            return r
-    return None
+    return next(iter(_row_shifts(app, n)), None)
 
 
 def row_shift(word: OperatorWord) -> int | None:
@@ -695,12 +698,8 @@ def rc_decompose(
         app = chain_word(chain, n).application_order
         for cut in range(len(app) + 1):
             col, row = app[:cut], app[cut:]
-            for r in range(n):
-                if not (
-                    _is_classical_row(_shifted(col[::-1], r, n))
-                    and _is_classical_row(_shifted(row, r, n))
-                ):
-                    continue
+            shared = set(_row_shifts(col[::-1], n)).intersection(_row_shifts(row, n))
+            for r in sorted(shared):
                 # the cyclic shift acts on u by values, as on the letters
                 shifted_u = tuple((v - 1 + r) % n + 1 for v in u.word)
                 out = _act_word(_shifted(app, r, n), shifted_u, n)

@@ -156,6 +156,8 @@ class Permutation:
 
     def has_descent(self, i: int) -> bool:
         """True when u(i) > u(i+1), for 1 <= i <= n-1."""
+        if not 1 <= i < self.n:
+            raise ValueError(f"descent position must be in 1..{self.n - 1}, got {i}")
         return self.word[i - 1] > self.word[i]
 
     def descents(self) -> tuple[int, ...]:
@@ -313,9 +315,9 @@ def from_code(code: Iterable[int], n: int | None = None) -> Permutation:
     '2143'
     """
     code = tuple(code)
-    need = max(
-        (i + 1 + c for i, c in enumerate(code) if c > 0), default=1
-    )
+    if any(c < 0 for c in code):
+        raise ValueError(f"code {code!r} has a negative entry")
+    need = max((i + 1 + c for i, c in enumerate(code) if c > 0), default=1)
     if n is None:
         n = max(need, len(code))
     if n < need:
@@ -337,7 +339,9 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     >>> parse_permutation("(1,7,4)(3,6)", n=7) == from_cycles([(1, 7, 4), (3, 6)], 7)
     True
     """
-    text = text.strip()
+    given, text = text, text.strip()
+    if not text:
+        raise ValueError(f"no permutation in {given!r}")
     if text.startswith("("):
         if n is None:
             raise ValueError("cycle notation needs an explicit n")
@@ -462,6 +466,7 @@ def grassmannian_shape(w: Permutation, k: int) -> tuple[int, ...]:
     >>> grassmannian_shape(grassmannian((3, 1), 3, 7), 3)
     (3, 1)
     """
+    _check_k(w.n, k)
     bad = [d for d in w.descents() if d != k]
     if bad:
         raise ValueError(f"{w} has descents {bad} away from {k}")

@@ -32,7 +32,6 @@ on S_n[q] that carry an interval [u, q^alpha w]_k^q onto its three partners.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -389,6 +388,7 @@ def _elementary_poly(i: int, j: int) -> Poly:
 # 101 x 101) and 2.4 s at n = 7 (up to 573 x 573, 28 MB peak RSS for the whole
 # process), on 2 cores with Python 3.11; n = 8 has blocks of 3836 x 3836.
 FGP_MAX_N = 7
+FGP_REFUSED_BLOCK = 3836  # the largest degree block of S_{FGP_MAX_N + 1}
 
 
 def _invert_unimodular(rows: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -494,12 +494,10 @@ def quantize(p: Poly, n: int) -> QPoly:
     ValueError for n > FGP_MAX_N, where the change of basis is out of reach.
     """
     if n > FGP_MAX_N:
-        # the largest degree block of S_{FGP_MAX_N + 1}, counted by degree
-        steps = (range(j + 1) for j in range(1, FGP_MAX_N + 1))
-        block = max(Counter(map(sum, itertools.product(*steps))).values())
         raise ValueError(
             f"the FGP quantization oracle stops at S_{FGP_MAX_N}: S_{n} needs "
-            f"an exact inversion of a degree block of {block} x {block} or more; "
+            "an exact inversion of a degree block of "
+            f"{FGP_REFUSED_BLOCK} x {FGP_REFUSED_BLOCK} or more; "
             "ll_reduce_product (--basis ll-reduce) has no such limit"
         )
     out = QPoly()

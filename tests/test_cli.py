@@ -266,6 +266,10 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
          "--basis", "ll-reduce"),
         ("product", "--quantum", "--u", "1432", "--k", "2", "--hook", "1000000,1",
          "--basis", "fgp-oracle"),
+        # blank permutation text is refused, not read as the identity
+        ("operators", "--word", "v(1,2)", "--n", "3", "--u", "", "--k", "1"),
+        ("product", "--u", " ", "--n", "3", "--k", "1", "--hook", "1,1"),
+        ("interval", "--u", "", "--target", "12", "--k", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -24,6 +24,7 @@ from flagmn.perm import (
     flatten_cycles,
     from_cycles,
     identity,
+    longest_element,
     parse_permutation,
 )
 from flagmn.qbruhat import QElement, q_interval, q_up_covers
@@ -224,22 +225,33 @@ def test_lrank_and_minimality_examples():
 
 
 def test_find_witness_validity():
-    for zeta in (ZETA1, ZETA2, from_cycles([(1, 3), (2, 4)], 4)):
+    zetas = [ZETA1, ZETA2, from_cycles([(1, 3), (2, 4)], 4)]
+    zetas += [zeta for n in range(2, 7) for zeta in all_permutations(n)]
+    for zeta in zetas:
         u, k = find_witness(zeta)
-        assert leq_k(u, zeta * u, k)
+        assert leq_k(u, zeta * u, k), f"zeta={zeta}"
     u, k = find_witness(identity(3))
     assert leq_k(u, u, k)
 
 
 def test_lrank_is_witness_independent():
-    # check every witness of a fixed zeta gives the same rank jump
-    zeta = from_cycles([(1, 3, 2)], 4)
-    ranks = set()
-    for u in all_permutations(4):
-        for k in (1, 2, 3):
-            if leq_k(u, zeta * u, k):
-                ranks.add((zeta * u).length - u.length)
-    assert ranks == {lrank(zeta)}
+    # check every witness of every zeta in S_4 gives the same rank jump
+    for zeta in all_permutations(4):
+        ranks = set()
+        for u in all_permutations(4):
+            for k in (1, 2, 3):
+                if leq_k(u, zeta * u, k):
+                    ranks.add((zeta * u).length - u.length)
+        assert ranks == {lrank(zeta)}, f"zeta={zeta}"
+
+
+def test_longest_element_is_minimal():
+    # w0 is floor(n/2) disjoint transpositions; the witness is built, not
+    # searched for, so n = 12 and n = 40 answer at once
+    assert lrank(longest_element(12)) == 6
+    assert is_minimal(longest_element(12))
+    assert lrank(longest_element(40)) == 20
+    assert is_minimal(longest_element(40))
 
 
 def test_lrank_flattening_agrees():
@@ -289,6 +301,23 @@ def test_crossing():
     assert not crossing({1, 2}, {3, 4})  # disjoint hulls
     assert crossing({1, 4, 7}, {3, 6})
     assert not crossing({1, 6, 7}, {2, 3, 4, 5})
+
+
+def four_point_crossing(a_supp, b_supp):
+    """Some l1 < m1 < l2 < m2 with the l's in one set and the m's in the other."""
+    for xs, ms in ((a_supp, b_supp), (b_supp, a_supp)):
+        for x1, x2 in itertools.combinations(sorted(xs), 2):
+            if any(x1 < m < x2 for m in ms) and any(m > x2 for m in ms):
+                return True
+    return False
+
+
+def test_crossing_matches_four_point_definition():
+    # every disjoint pair of subsets of 1..7: each value in A, in B or in neither
+    for sides in itertools.product((0, 1, 2), repeat=7):
+        a = {v for v, side in enumerate(sides, 1) if side == 1}
+        b = {v for v, side in enumerate(sides, 1) if side == 2}
+        assert crossing(a, b) == four_point_crossing(a, b), (a, b)
 
 
 def test_noncrossing_factorization():

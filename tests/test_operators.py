@@ -817,6 +817,40 @@ def test_taxonomy_digest_on_gate_words():
     assert digest.hexdigest() == TAXONOMY_DIGEST
 
 
+def per_copy_row_shift(app, n):
+    """The least r whose relabelled copy of ``app`` is a classical row.
+
+    Each of the n cyclic shifts is built as a word of its own, and its
+    components, chain links and crossings are found afresh.
+    """
+    for r in range(n):
+        copy = o_shift_word(OperatorWord.from_application(n, app), r)
+        comps = [c.application_order for c in word_components(copy)]
+        if (
+            copy.is_classical()
+            and all(x[1] == y[0] for c in comps for x, y in zip(c, c[1:]))
+            and not has_crossing_components(copy)
+        ):
+            return r
+    return None
+
+
+def test_shifts_match_the_per_copy_definition():
+    # the gate's 3,140 path words, and every word of up to three letters in
+    # S_4, which brings in several components and crossings
+    letters = list(itertools.permutations(range(1, 5), 2))
+    short = [
+        OperatorWord(4, w)
+        for m in (1, 2, 3)
+        for w in itertools.product(letters, repeat=m)
+    ]
+    paths = [OperatorWord.from_application(5, app) for app in _gate_paths(5)]
+    for word in paths + short:
+        n = word.n
+        assert row_shift(word) == per_copy_row_shift(word.application_order, n)
+        assert column_shift(word) == per_copy_row_shift(word.letters, n)
+
+
 def test_tree_times_gap_letter_is_zero():
     # appending one quantum letter v(b, a) whose target a falls in a support
     # gap kills every classical tree: the letter moves a across the wall

@@ -119,6 +119,20 @@ def test_code_roundtrip_examples():
     assert from_code((), 3) == identity(3)
 
 
+def test_from_code_refuses_a_negative_entry():
+    # -1 would pop from the end of the values left, as if it were a large code
+    want = r"^code \(0, -1, 0\) has a negative entry$"
+    with pytest.raises(ValueError, match=want):
+        from_code((0, -1, 0))
+
+
+@pytest.mark.parametrize("i", [-1, 0, 3, 4])
+def test_has_descent_refuses_positions_outside_1_to_n_minus_1(i):
+    want = rf"^descent position must be in 1\.\.2, got {i}$"
+    with pytest.raises(ValueError, match=want):
+        identity(3).has_descent(i)
+
+
 @given(st.permutations(list(range(1, 7))))
 def test_code_roundtrip(word):
     u = Permutation(word)
@@ -194,6 +208,14 @@ def test_parse_permutation_formats():
             parse_permutation(text, 3)
 
 
+@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize("text", ["", " "])
+def test_parse_permutation_refuses_blank_text(text, n):
+    want = f"^no permutation in {re.escape(repr(text))}$"
+    with pytest.raises(ValueError, match=want):
+        parse_permutation(text, n)
+
+
 def test_special_elements():
     assert longest_element(4).word == (4, 3, 2, 1)
     assert longest_element(4).length == 6
@@ -243,6 +265,7 @@ K_RULE = {
     "ll_reduce_product": lambda k: fm.ll_reduce_product(U4, (1,), k),
     "fgp_product": lambda k: fm.fgp_product(U4, (1,), k),
     "QLRQuery": lambda k: fm.QLRQuery(U4, U4, (0, 0, 0), (1,), k),
+    "grassmannian_shape": lambda k: grassmannian_shape(U4, k),
 }
 
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from flagmn.perm import (
 )
 from flagmn.qbruhat import QElement, parse_qelement, q_ij, q_interval
 from flagmn.qschubert import (
+    FGP_REFUSED_BLOCK,
     QLRQuery,
     QPoly,
     _elementary_poly,
@@ -427,8 +430,17 @@ def test_fgp_reproduces_quantum_monk_s4():
 
 
 def test_fgp_refuses_s8_before_building_the_change_of_basis():
-    # the 3836 x 3836 middle degree blocks at n = 8 are out of reach
-    with pytest.raises(ValueError, match="stops at S_7"):
+    # the middle degree blocks at n = 8 are out of reach: the largest has one
+    # row per code (c_1..c_7), 0 <= c_j <= j, of the middle degree
+    steps = (range(j + 1) for j in range(1, 8))
+    block = max(Counter(map(sum, itertools.product(*steps))).values())
+    assert block == FGP_REFUSED_BLOCK == 3836
+    want = (
+        "the FGP quantization oracle stops at S_7: S_8 needs an exact inversion"
+        f" of a degree block of {block} x {block} or more; ll_reduce_product"
+        " (--basis ll-reduce) has no such limit"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fgp_product(identity(8), (1,), 1)
 
 
