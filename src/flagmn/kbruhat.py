@@ -17,9 +17,10 @@ zeta, and ``find_witness`` builds a witness from zeta's values, with no search.
 
 Both orders run on kernels kept here, on one-line (alpha, word) tuples:
 ``_cover_swaps`` states the rule above, ``_quantum_swaps`` the quantum rule
-of ``qbruhat``, and ``_covers`` yields both kinds.  ``_walk`` goes up from
-a bottom through ``_covers``; ``interval`` here and ``q_interval`` and
-``q_leq`` in ``qbruhat`` all read their answer off it.
+of ``qbruhat``, and ``_covers`` yields both kinds.  ``_x_covers`` yields
+the covers of both kinds through one position, the terms of x_m.  ``_walk``
+goes up from a bottom through ``_covers``; ``interval`` here and
+``q_interval`` and ``q_leq`` in ``qbruhat`` all read their answer off it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,39 @@ def _quantum_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
                 if l >= k:
                     yield i, l
                 low = v
+
+
+def _x_covers(alpha: tuple[int, ...], word: tuple[int, ...], p: int, quantum: bool):
+    """(i, l, alpha', sign) for every cover q^alpha word -> q^alpha' word t_il
+    moving the 0-based position p, with sign 1 when i = p and -1 when l = p.
+
+    By the quantum Monk rule (Fomin-Gelfand-Postnikov) these are the terms of
+    x_{p+1}: of Monk at k = p + 1 minus Monk at k = p only the swaps through
+    p survive.  The leftward scans mirror the rules of the two kernels above.
+    """
+    n, a = len(word), word[p]
+    above = below = n + 1  # the smallest values above and below a seen so far
+    for l in range(p + 1, n):
+        v = word[l]
+        if v > a:
+            if v < above:
+                yield p, l, alpha, 1
+                above = v
+            below = 0  # a value above a blocks every further quantum swap
+        elif quantum and v < below:
+            yield p, l, _raised(alpha, p, l), 1
+            below = v
+    below = above = 0  # the largest values below and above a seen so far
+    for i in range(p - 1, -1, -1):
+        v = word[i]
+        if v < a:
+            if v > below:
+                yield i, p, alpha, -1
+                below = v
+            above = n + 1  # a value below a blocks every further quantum swap
+        elif quantum and v > above:
+            yield i, p, _raised(alpha, i, p), -1
+            above = v
 
 
 def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:

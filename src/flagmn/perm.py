@@ -82,7 +82,7 @@ class Permutation:
         return len(self.word)
 
     def __call__(self, i: int) -> int:
-        return self.word[i - 1]
+        return self.word[_index(i, self.n, "position")]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.word == other.word
@@ -129,10 +129,11 @@ class Permutation:
 
     def position(self, value: int) -> int:
         """The position holding ``value``: u(position(v)) = v."""
-        return self._inv_word()[value - 1]
+        return self._inv_word()[_index(value, self.n, "value")]
 
     def swap_positions(self, i: int, j: int) -> "Permutation":
-        return Permutation._trusted(_swapped(self.word, i - 1, j - 1))
+        i, j = _index(i, self.n, "position"), _index(j, self.n, "position")
+        return Permutation._trusted(_swapped(self.word, i, j))
 
     def swap_values(self, a: int, b: int) -> "Permutation":
         return Permutation(
@@ -156,9 +157,8 @@ class Permutation:
 
     def has_descent(self, i: int) -> bool:
         """True when u(i) > u(i+1), for 1 <= i <= n-1."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"descent position must be in 1..{self.n - 1}, got {i}")
-        return self.word[i - 1] > self.word[i]
+        j = _index(i, self.n - 1, "descent position")
+        return self.word[j] > self.word[j + 1]
 
     def descents(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n) if self.has_descent(i))
@@ -224,6 +224,13 @@ class Permutation:
         while m > 1 and w[m - 1] == m:
             m -= 1
         return self if m == len(w) else Permutation(w[:m])
+
+
+def _index(i: int, n: int, what: str) -> int:
+    """The 0-based index of a 1-based ``what`` i, which must lie in 1..n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"{what} must be in 1..{n}, got {i}")
+    return i - 1
 
 
 def _check_k(n: int, k: int) -> None:
@@ -353,10 +360,10 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             for m in _CYCLE_RE.finditer(text)
         ]
         return from_cycles(cycles, n)
-    if "," in text:
-        word = tuple(int(x) for x in text.split(","))
-    else:
-        word = tuple(int(ch) for ch in text)
+    try:
+        word = tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"cannot parse {given!r} as a permutation") from None
     u = Permutation(word)
     return u if n is None else u.extend(n)
 

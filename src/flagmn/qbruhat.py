@@ -189,6 +189,8 @@ _Q_TOKEN = re.compile(
 def parse_qelement(text: str, n: int) -> QElement:
     """Parse 'q^(0,1,1) 1234', 'q_{2,4} 1234', 'q_2 q_3 1234' or plain '1234'.
 
+    A one-line permutation part must lie in S_n itself: it is not extended.
+
     >>> str(parse_qelement("q_{3,5}52134", 5))
     'q^(0,0,1,1) 52134'
     """
@@ -216,4 +218,6 @@ def parse_qelement(text: str, n: int) -> QElement:
         rest = rest[m.end():].lstrip(" *")
     if not rest:
         raise ValueError(f"no permutation part in {text!r}")
-    return QElement(tuple(alpha), parse_permutation(rest, n))
+    w = parse_permutation(rest, n if rest.startswith("(") else None)
+    _check_size(n, w.n)
+    return QElement(tuple(alpha), w)

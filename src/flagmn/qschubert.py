@@ -9,17 +9,18 @@ The quantum products run on the engine they share with the classical ones
   summing over minimal intervals of the quantum k-Bruhat order.
 
 Two routes that do not use the minimal-interval rule check them; both still
-apply Monk's rule through the shared x_m operator.  ``fgp_product`` is an
-oracle that multiplies honestly in ZZ[q][x] after quantizing the Schur
-polynomial through quantum elementary polynomials E^j_i.  ``quantum_lr``
-computes a single coefficient N^{w,alpha}_{u,v(lam,k)} by the
-descent-exchange reduction: while alpha is nonzero, find a wall i where u
-descends, w ascends, and the second difference of alpha is 1 (2 when
-i = k); swapping positions i, i+1 in both u and w and stripping e_i from
-alpha preserves the coefficient exactly, so the classical coefficient
-reached at alpha = 0 is the answer.  When no wall qualifies the coefficient
-is zero.  ``ll_reduce_product`` runs that reduction on every candidate term
-of a whole product, and computes each classical product it lands on once.
+apply the quantum Monk rule through the shared x_m operator, the signed
+covers through position m.  ``fgp_product`` is an oracle that multiplies
+honestly in ZZ[q][x] after quantizing the Schur polynomial through quantum
+elementary polynomials E^j_i.  ``quantum_lr`` computes a single coefficient
+N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction: while alpha is
+nonzero, find a wall i where u descends, w ascends, and the second
+difference of alpha is 1 (2 when i = k); swapping positions i, i+1 in both
+u and w and stripping e_i from alpha preserves the coefficient exactly, so
+the classical coefficient reached at alpha = 0 is the answer.  When no wall
+qualifies the coefficient is zero.  ``ll_reduce_product`` runs that
+reduction, on one-line words, on every candidate term of a whole product,
+and computes each classical product it lands on once.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
@@ -53,12 +54,15 @@ from .schubert import (
     _SparsePoly,
     _apply_x,
     _check_powersum_args,
+    _expansion,
     _hook_coefficient,
     _minimal_rule,
     _names,
     _operator_sum,
+    _operator_terms,
     _padded_sum,
     _powersum_coefficient,
+    _schur_monomials,
     _trim,
     schur_multiply,
     schur_poly,
@@ -137,47 +141,48 @@ class QLRQuery:
         return self
 
 
-def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
-    """One descent-exchange reduction, or None when the coefficient is zero.
+def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):
+    """The descent exchange on one-line words, stated once.
 
-    Finds a wall i with sg_i(u) = 1, sg_i(w) = 0 and varpi_i(alpha) = 1
-    (= 2 when i = k) and moves the query to (u s_i, w s_i, alpha - e_i).
-    Any qualifying wall yields the same coefficient; the smallest is taken.
-    The test sg_i(w) = 0 is needed for arbitrary queries: the terms a
-    product reaches pass it anyway, but without it u = 231, w = 132,
-    alpha = (1, 1), lam = (1), k = 1 reduces to 1, where the coefficient is 0.
+    Finds the smallest wall i with sg_i(u) = 1, sg_i(w) = 0 and
+    varpi_i(alpha) = 1 (= 2 when i = k) and returns
+    (i, (u s_i, w s_i, alpha - e_i)), or None when no wall qualifies.  Any
+    qualifying wall yields the same coefficient.  The test sg_i(w) = 0 is
+    needed for arbitrary queries: the terms a product reaches pass it anyway,
+    but without it u = 231, w = 132, alpha = (1, 1), lam = (1), k = 1
+    reduces to 1, where the coefficient is 0.
     """
-    if not any(query.alpha):
-        raise ValueError("reduction needs a nonzero exponent vector")
-    u, w, alpha, k = query.u, query.w, query.alpha, query.k
-    for i in range(1, u.n):
+    for i in range(1, len(u)):
         want = 2 if i == k else 1
-        if (
-            varpi(alpha, i) == want
-            and sg(u, i) == 1
-            and sg(w, i) == 0
-        ):
+        if u[i - 1] > u[i] and w[i - 1] < w[i] and varpi(alpha, i) == want:
             # varpi_i(alpha) > 0 forces alpha_i > 0, so the step stays valid
-            reduced = QLRQuery._trusted(
-                u.swap_positions(i, i + 1),
-                w.swap_positions(i, i + 1),
-                alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:],
-                query.lam,
-                k,
-            )
-            return i, reduced
+            lowered = alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]
+            return i, (_swapped(u, i - 1, i), _swapped(w, i - 1, i), lowered)
     return None
 
 
-def _classical_query(query: QLRQuery) -> QLRQuery | None:
-    """The classical query (alpha = 0) that the reduction reaches, or None
-    when a step fails with alpha still nonzero and so certifies a zero."""
-    while any(query.alpha):
-        step = ll_reduce_step(query)
+def _reduced(u: tuple, w: tuple, alpha: tuple, k: int) -> tuple | None:
+    """The words (u', w') the exchange reaches at alpha = 0, or None when a
+    step fails with alpha still nonzero and so certifies a zero."""
+    while any(alpha):
+        step = _exchange(u, w, alpha, k)
         if step is None:
             return None
-        query = step[1]
-    return query
+        u, w, alpha = step[1]
+    return u, w
+
+
+def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
+    """One descent exchange (see ``_exchange``) as (i, reduced query), or
+    None when the coefficient is zero."""
+    if not any(query.alpha):
+        raise ValueError("reduction needs a nonzero exponent vector")
+    step = _exchange(query.u.word, query.w.word, query.alpha, query.k)
+    if step is None:
+        return None
+    i, (u, w, alpha) = step
+    u, w = map(Permutation._trusted, (u, w))
+    return i, QLRQuery._trusted(u, w, alpha, query.lam, query.k)
 
 
 def quantum_lr(query: QLRQuery) -> int:
@@ -186,10 +191,11 @@ def quantum_lr(query: QLRQuery) -> int:
     Reduces to a classical coefficient wall by wall; a failed reduction with
     alpha still nonzero certifies that the coefficient vanishes.
     """
-    query = _classical_query(query)
-    if query is None:
+    words = _reduced(query.u.word, query.w.word, query.alpha, query.k)
+    if words is None:
         return 0
-    return schur_multiply(query.u, query.lam, query.k).coefficient(query.w)
+    u, w = map(Permutation._trusted, words)
+    return schur_multiply(u, query.lam, query.k).coefficient(w)
 
 
 def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
@@ -199,30 +205,30 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
     of |lam| steps up the quantum k-Bruhat order from u, so those tops are
     the candidates; the hook rule is not consulted.  Each candidate reduces
     to a coefficient of a classical product S_u' * s_lam, and each distinct
-    u' is multiplied once per call.
+    u' is multiplied once per call; all of it runs on one-line words.
     """
     n = u.n
     lam = _check_shape(lam, k, n)
-    frontier = {((0,) * (n - 1), u.word)}
+    zero = (0,) * (n - 1)
+    frontier = {(zero, u.word)}
     for _ in range(sum(lam)):
         frontier = {
             (lifted, _swapped(word, i, l))
             for alpha, word in frontier
             for i, l, lifted in _covers(alpha, word, k, True)
         }
-    products: dict[Permutation, Expansion] = {}
+    monomials = _schur_monomials(lam, k)
+    products: dict[tuple, dict] = {}
     terms = {}
     for alpha, word in frontier:
-        w = Permutation._trusted(word)
-        query = _classical_query(QLRQuery._trusted(u, w, alpha, lam, k))
-        if query is None:
+        words = _reduced(u.word, word, alpha, k)
+        if words is None:
             continue
-        if query.u not in products:
-            products[query.u] = schur_multiply(query.u, lam, k)
-        c = products[query.u].coefficient(query.w)
-        if c:
-            terms[QElement._trusted(alpha, w)] = c
-    return Expansion(n, terms)
+        base, w = words
+        if base not in products:
+            products[base] = _operator_terms(base, monomials, False)
+        terms[alpha, word] = products[base].get((zero, w), 0)
+    return _expansion(n, terms)
 
 
 # -- cyclic-shift bookkeeping ---------------------------------------------------
@@ -289,7 +295,8 @@ def q_monk_multiply(exp: Expansion | QElement | Permutation, k: int) -> Expansio
 
 
 def q_x_times(exp: Expansion, m: int) -> Expansion:
-    """Multiplication by x_m in qH*Fl_n (monk at m minus monk at m - 1)."""
+    """Multiplication by x_m in qH*Fl_n: the signed covers that move position m,
+    quantum covers included."""
     return _apply_x(exp, m, True)
 
 

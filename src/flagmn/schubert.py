@@ -1,9 +1,10 @@
 """Schubert polynomials and products in the cohomology of the flag manifold.
 
 The classical and the quantum products share one engine, written once here.
-It runs on one-line (alpha, word) tuples through the cover kernel
-``kbruhat._covers`` and builds objects only for the terms it returns;
-the classical ring never walks a quantum edge, so its alpha stays 0.  The
+It runs on one-line (alpha, word) tuples through the cover kernels
+``kbruhat._covers`` and ``kbruhat._x_covers`` and builds objects only for
+the terms it returns; the classical ring never walks a quantum edge, so its
+alpha stays 0.  The
 minimal-interval rule walks only minimal prefixes, and the Schur loop over
 monomials shares the x_m steps of common prefixes.  The minimal-interval
 rule is checked by routes that do not use it: ``hook_multiply_chains`` sums
@@ -22,10 +23,11 @@ Everything is exact integer arithmetic on sparse exponent dictionaries;
 exponent keys are tuples with trailing zeros stripped.
 
 ``Expansion`` is a formal ZZ-linear combination of basis classes q^alpha w;
-classical results simply carry alpha = 0.  Multiplication by x_m in the
-quotient presentation of H*Fl_n is the difference of two degree-one products
-(monk at k = m minus monk at k = m - 1), which is how ``schur_multiply``
-computes products by general Schur polynomials.
+classical results simply carry alpha = 0.  By Monk's rule and its quantum
+form (Fomin-Gelfand-Postnikov), x_m in the quotient presentation of H*Fl_n
+adds the covers swapping position m with a later one and subtracts those
+swapping it with an earlier one; ``schur_multiply`` multiplies by general
+Schur polynomials through these x_m steps.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .kbruhat import _cover_swaps, _covers, _peakless_binomial, up_covers
+from .kbruhat import _cover_swaps, _covers, _peakless_binomial, _x_covers, up_covers
 from .perm import (
     Permutation,
     _check_hook,
@@ -356,18 +358,13 @@ def _expansion(n: int, terms: dict) -> Expansion:
     )
 
 
-def _x_step(terms: dict, m: int, n: int, quantum: bool) -> dict:
-    """x_m = (x_1 + ... + x_m) - (x_1 + ... + x_{m-1}) times {(alpha, word): c}.
-
-    Monk at k = m minus Monk at k = m - 1; x_1 + ... + x_n acts as zero.
-    """
+def _x_step(terms: dict, m: int, quantum: bool) -> dict:
+    """x_m times {(alpha, word): c}: the signed covers that move position m."""
     out: dict = {}
     for (alpha, word), c in terms.items():
-        for k, d in ((m, c), (m - 1, -c)):
-            if 1 <= k < n:
-                for i, l, lifted in _covers(alpha, word, k, quantum):
-                    key = (lifted, _swapped(word, i, l))
-                    out[key] = out.get(key, 0) + d
+        for i, l, lifted, sign in _x_covers(alpha, word, m - 1, quantum):
+            key = (lifted, _swapped(word, i, l))
+            out[key] = out.get(key, 0) + sign * c
     return {key: c for key, c in out.items() if c}
 
 
@@ -376,27 +373,37 @@ def _apply_x(exp: Expansion, m: int, quantum: bool) -> Expansion:
     if not 1 <= m <= n:
         raise ValueError(f"x_{m} is not a variable of H*Fl_{n}")
     terms = {(x.alpha, x.w.word): c for x, c in exp.terms.items()}
-    return _expansion(n, _x_step(terms, m, n, quantum))
+    return _expansion(n, _x_step(terms, m, quantum))
 
 
-def _operator_sum(u: Permutation, monomials, quantum: bool) -> Expansion:
-    """S_u times the sum of c x^e q^f over ((e, f), c), one x_m step per letter.
+def _operator_terms(start: tuple[int, ...], monomials, quantum: bool) -> dict:
+    """{(alpha, word): c} of S_start times the sum of c x^e q^f over
+    ((e, f), c), one x_m step per letter; some c may be 0.
 
     Monomials that start alike (x_1^2 x_2 and x_1^2 x_3) share the steps of
     their common prefix through a memo kept for this call only.
     """
-    n = u.n
-    memo = {(): {((0,) * (n - 1), u.word): 1}}
+    memo = {(): {((0,) * (len(start) - 1), start): 1}}
     out: dict = {}
     for (xe, qe), c in monomials:
         letters = tuple(m for m, e in enumerate(xe, start=1) for _ in range(e))
         for j, m in enumerate(letters):
             if letters[: j + 1] not in memo:
-                memo[letters[: j + 1]] = _x_step(memo[letters[:j]], m, n, quantum)
+                memo[letters[: j + 1]] = _x_step(memo[letters[:j]], m, quantum)
         for (alpha, word), d in memo[letters].items():
             key = (_padded_sum(alpha, qe) if qe else alpha, word)
             out[key] = out.get(key, 0) + c * d
-    return _expansion(n, out)
+    return out
+
+
+def _operator_sum(u: Permutation, monomials, quantum: bool) -> Expansion:
+    """S_u times the sum of c x^e q^f over ((e, f), c), as an Expansion."""
+    return _expansion(u.n, _operator_terms(u.word, monomials, quantum))
+
+
+def _schur_monomials(lam: tuple[int, ...], k: int) -> list:
+    """s_lambda(x_1, ..., x_k) as the monomials ``_operator_terms`` takes."""
+    return [((e, ()), c) for e, c in schur_poly(lam, k).monomials()]
 
 
 def _minimal_rule(u: Permutation, k: int, r: int, quantum: bool, coeff) -> Expansion:
@@ -450,15 +457,14 @@ def monk_multiply(u: Permutation, k: int) -> Expansion:
 
 
 def x_times(exp: Expansion, m: int) -> Expansion:
-    """Multiplication by x_m in H*Fl_n (monk at m minus monk at m - 1)."""
+    """Multiplication by x_m in H*Fl_n: the signed covers that move position m."""
     return _apply_x(exp, m, False)
 
 
 def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u times s_lambda(x_1, ..., x_k) in H*Fl_n, by iterated x_m-operators."""
     _check_k(u.n, k)
-    monomials = [((e, ()), c) for e, c in schur_poly(lam, k).monomials()]
-    return _operator_sum(u, monomials, False)
+    return _operator_sum(u, _schur_monomials(lam, k), False)
 
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:

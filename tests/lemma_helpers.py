@@ -5,16 +5,17 @@ the w0 relabeling of words, the product of a word's letter transpositions
 and its minimality, the chain/word bijection, the noncrossing factorization
 of a permutation and the divided difference operator.  The package itself
 never needs them, so they live here, next to the tests that check the
-lemmas they state.  The quantum covers by a position scan and the
-descent exchange at the largest wall are references for the kernels and
-the wall choice of the package.
+lemmas they state.  The quantum covers by a position scan, x_m as Monk
+at m minus Monk at m - 1, and the descent exchange on Permutation objects
+and at the largest wall are references for the kernels and the wall choice
+of the package.
 """
 
 from __future__ import annotations
 
-from flagmn.kbruhat import Chain, crossing, up_covers
+from flagmn.kbruhat import Chain, _covers, crossing, up_covers
 from flagmn.operators import OperatorWord, act, chain_word
-from flagmn.perm import Permutation, flatten, from_cycles, identity
+from flagmn.perm import Permutation, _swapped, flatten, from_cycles, identity
 from flagmn.qbruhat import QElement, q_chains, q_ij
 from flagmn.qschubert import QLRQuery, sg, varpi
 from flagmn.schubert import Poly, _trim, schur_multiply
@@ -179,16 +180,34 @@ def brute_q_covers(x: QElement, k: int) -> list:
     return out
 
 
+def monk_difference(alpha: tuple, word: tuple, m: int, quantum: bool) -> dict:
+    """x_m times q^alpha word as {(alpha', word'): c}: Monk at k = m minus
+    Monk at k = m - 1, each read off ``kbruhat._covers``; x_1 + ... + x_n
+    acts as zero."""
+    out: dict = {}
+    for k, d in ((m, 1), (m - 1, -1)):
+        if 1 <= k < len(word):
+            for i, l, lifted in _covers(alpha, word, k, quantum):
+                key = (lifted, _swapped(word, i, l))
+                out[key] = out.get(key, 0) + d
+    return {key: c for key, c in out.items() if c}
+
+
+def exchange_walls(u: Permutation, w: Permutation, alpha: tuple, k: int) -> list:
+    """Every wall where the descent exchange applies, by sg and varpi."""
+    return [
+        i
+        for i in range(1, u.n)
+        if varpi(alpha, i) == (2 if i == k else 1) and sg(u, i) and not sg(w, i)
+    ]
+
+
 def largest_wall_lr(query: QLRQuery) -> int:
     """``quantum_lr`` with the descent exchange taken at the largest
     qualifying wall instead of the smallest."""
     u, w, alpha, k = query.u, query.w, query.alpha, query.k
     while any(alpha):
-        walls = [
-            i
-            for i in range(1, u.n)
-            if varpi(alpha, i) == (2 if i == k else 1) and sg(u, i) and not sg(w, i)
-        ]
+        walls = exchange_walls(u, w, alpha, k)
         if not walls:
             return 0
         i = walls[-1]

@@ -1,7 +1,10 @@
 """CLI plumbing: flag parsing, output formats and exit codes."""
 
+import hashlib
+import itertools
 import json
 import pathlib
+import random
 import re
 import shlex
 
@@ -9,6 +12,7 @@ import pytest
 
 from flagmn import cli, verification
 from flagmn.cli import main
+from flagmn.perm import all_permutations, is_hook, partitions
 from flagmn.schubert import Expansion
 from flagmn.verification import fixture_text
 
@@ -95,6 +99,59 @@ def test_fgp_refusal_names_the_route_without_the_limit(capsys):
     assert code == 2 and out == ""
     assert err.startswith("usage error: the FGP quantization oracle stops at S_7")
     assert err.endswith("; ll_reduce_product (--basis ll-reduce) has no such limit\n")
+
+
+# sha256 of the stdout of every product in _quantum_route_products, recorded
+# at commit 92e9816 (x_m as Monk at m minus Monk at m - 1, and ll-reduce on
+# Permutation queries)
+QUANTUM_ROUTES_SHA256 = "e3effdbe91445f41c2ed99debec3ed8bf4c3f28f4cf9ee893169912cc1aec65d"
+
+
+def _quantum_route_products():
+    """argv of every quantum --hook and --lambda product at S_4 and of every
+    shape on a seeded S_5 sample, through ll-reduce and fgp-oracle."""
+    cases = [(str(u), k) for u in all_permutations(4) for k in range(1, 4)]
+    rng = random.Random("quantum-route-stdout")
+    for _ in range(10):
+        u = "".join(map(str, rng.sample(range(1, 6), 5)))
+        cases.append((u, rng.randint(1, 4)))
+    for u, k in cases:
+        n = len(u)
+        for size in range(1, k * (n - k) + 1):
+            for lam in partitions(size, n - k, k):
+                flags = [("--lambda", ",".join(map(str, lam)))]
+                if is_hook(lam):
+                    flags.append(("--hook", f"{len(lam)},{lam[0]}"))
+                for flag, basis in itertools.product(flags, ("ll-reduce", "fgp-oracle")):
+                    yield ("product", "--quantum", "--u", u, "--k", str(k), *flag,
+                           "--basis", basis)
+
+
+def test_quantum_route_stdout_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in _quantum_route_products():
+        code, out, _err = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(f"{' '.join(argv)}\n{out}".encode())
+    assert digest.hexdigest() == QUANTUM_ROUTES_SHA256
+
+
+def test_interval_and_chains_refuse_a_target_of_another_size(capsys):
+    # the target was read at the size of --u: a smaller one was silently
+    # extended, and a larger one leaked the message of extend()
+    for command, u, target, sizes in (
+        ("interval", "1432", "12", "S_4 and S_2"),
+        ("chains", "12", "1432", "S_2 and S_4"),
+    ):
+        argv = (command, "--u", u, "--target", target, "--k", "1")
+        want = f"usage error: size mismatch: {sizes}\n"
+        assert run(capsys, *argv) == (2, "", want)
+
+
+def test_unreadable_permutation_is_named(capsys):
+    argv = ("product", "--u", "1,,2", "--k", "1", "--hook", "1,1")
+    want = "usage error: cannot parse '1,,2' as a permutation\n"
+    assert run(capsys, *argv) == (2, "", want)
 
 
 def test_classical_bases_agree(capsys):

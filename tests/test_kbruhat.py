@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flagmn.kbruhat import (
+    _x_covers,
     bruhat_leq,
     chains,
     crossing,
@@ -20,6 +21,7 @@ from flagmn.kbruhat import (
 )
 from flagmn.perm import (
     Permutation,
+    _swapped,
     all_permutations,
     flatten_cycles,
     from_cycles,
@@ -28,7 +30,7 @@ from flagmn.perm import (
     parse_permutation,
 )
 from flagmn.qbruhat import QElement, q_interval, q_up_covers
-from lemma_helpers import noncrossing_factorization
+from lemma_helpers import monk_difference, noncrossing_factorization
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
 ZETA2 = from_cycles([(1, 7, 4), (3, 6)], 7)
@@ -87,6 +89,28 @@ def brute_bruhat_leq(x, w):
         }
         if y.length == x.length + 1
     )
+
+
+def _x_terms(alpha, word, m, quantum):
+    """{(alpha', word'): sign} read off ``_x_covers``; no cover comes twice."""
+    out = {}
+    for i, l, lifted, sign in _x_covers(alpha, word, m - 1, quantum):
+        key = (lifted, _swapped(word, i, l))
+        assert key not in out
+        out[key] = sign
+    return out
+
+
+def test_x_covers_are_monk_at_m_minus_monk_at_m_minus_1():
+    words = [u.word for n in range(2, 7) for u in all_permutations(n)]
+    rng = random.Random("x-covers")
+    words += [tuple(rng.sample(range(1, n + 1), n)) for n in (7, 8) for _ in range(60)]
+    for word in words:
+        n = len(word)
+        for alpha in ((0,) * (n - 1), tuple(i % 3 for i in range(1, n))):
+            for m, quantum in itertools.product(range(1, n + 1), (False, True)):
+                want = monk_difference(alpha, word, m, quantum)
+                assert _x_terms(alpha, word, m, quantum) == want, (word, alpha, m)
 
 
 def test_bruhat_leq_matches_brute_force():

@@ -133,6 +133,20 @@ def test_has_descent_refuses_positions_outside_1_to_n_minus_1(i):
         identity(3).has_descent(i)
 
 
+@pytest.mark.parametrize("i", [-1, 0, 4])
+def test_indices_outside_1_to_n_are_refused(i):
+    # index 0 read the last entry, as if the word wrapped around
+    u = identity(3)
+    for call, what in (
+        (lambda: u(i), "position"),
+        (lambda: u.position(i), "value"),
+        (lambda: u.swap_positions(i, 2), "position"),
+        (lambda: u.swap_positions(2, i), "position"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{what} must be in 1\.\.3, got {i}$"):
+            call()
+
+
 @given(st.permutations(list(range(1, 7))))
 def test_code_roundtrip(word):
     u = Permutation(word)
@@ -202,6 +216,10 @@ def test_parse_permutation_formats():
     with pytest.raises(ValueError):
         parse_permutation("1224")
     assert parse_permutation(" (1 2) (3,4) ", n=4).word == (2, 1, 4, 3)
+    # a one-line word that does not read as integers is named whole
+    for text in ("1,,2", "12a", "1,2,x"):
+        with pytest.raises(ValueError, match=f"^cannot parse {re.escape(repr(text))}"):
+            parse_permutation(text)
     # text the cycles leave over is named, not skipped
     for text, leftover in (("(1,2)junk", "junk"), ("(1,2", "(1,2"), ("()", "()")):
         with pytest.raises(ValueError, match=re.escape(repr(leftover))):

@@ -24,6 +24,8 @@ from flagmn.qschubert import (
     QLRQuery,
     QPoly,
     _elementary_poly,
+    _exchange,
+    _reduced,
     _standard_solver,
     fgp_product,
     ll_reduce_product,
@@ -54,7 +56,7 @@ from flagmn.schubert import (
     schur_multiply,
     schur_poly,
 )
-from lemma_helpers import largest_wall_lr
+from lemma_helpers import exchange_walls, largest_wall_lr
 
 
 def qe(text, n):
@@ -576,21 +578,47 @@ def test_quantum_lr_zero_off_support():
             assert quantum_lr(QLRQuery(u, w, alpha, (1,), 2)) == want
 
 
+def _s3_queries():
+    """Every S_3 query with alpha in {0, 1, 2}^2 nonzero, at four (k, lam)."""
+    for k, lam in ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1, 1))):
+        for u, w in itertools.product(all_permutations(3), repeat=2):
+            for alpha in itertools.product(range(3), repeat=2):
+                if any(alpha):
+                    yield QLRQuery(u, w, alpha, lam, k)
+
+
 def test_quantum_lr_matches_fgp_on_every_s3_query():
     # arbitrary queries, not only the terms a product reaches: a reduction
     # step that ignores sg_i(w) = 0 gives 1 at u = 231, w = 132,
     # alpha = (1, 1), lam = (1), k = 1, where the coefficient is 0
-    checked = 0
-    for k, lam in ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1, 1))):
-        for u in all_permutations(3):
-            exp = fgp_product(u, lam, k)
-            for w in all_permutations(3):
-                for alpha in itertools.product(range(3), repeat=2):
-                    if any(alpha):
-                        want = exp.coefficient(QElement(alpha, w))
-                        assert quantum_lr(QLRQuery(u, w, alpha, lam, k)) == want
-                        checked += 1
-    assert checked == 1152
+    queries = list(_s3_queries())
+    for q in queries:
+        want = fgp_product(q.u, q.lam, q.k).coefficient(QElement(q.alpha, q.w))
+        assert quantum_lr(q) == want
+    assert len(queries) == 1152
+
+
+def test_word_exchange_is_the_object_exchange_on_every_s3_query():
+    # the exchange runs on one-line words; sg, varpi and swap_positions on
+    # Permutation objects state the same rule at the smallest wall
+    for q in _s3_queries():
+        walls = exchange_walls(q.u, q.w, q.alpha, q.k)
+        step = ll_reduce_step(q)
+        if not walls:
+            assert step is None
+            assert _exchange(q.u.word, q.w.word, q.alpha, q.k) is None
+            continue
+        i = walls[0]
+        u, w = q.u.swap_positions(i, i + 1), q.w.swap_positions(i, i + 1)
+        alpha = q.alpha[: i - 1] + (q.alpha[i - 1] - 1,) + q.alpha[i:]
+        assert step == (i, QLRQuery(u, w, alpha, q.lam, q.k))
+        # the walk to alpha = 0 lands where repeated steps land
+        end = q
+        while end is not None and any(end.alpha):
+            step = ll_reduce_step(end)
+            end = None if step is None else step[1]
+        want = None if end is None else (end.u.word, end.w.word)
+        assert _reduced(q.u.word, q.w.word, q.alpha, q.k) == want
 
 
 def _rectangle_shapes(k, n):
