@@ -19,10 +19,10 @@ import sys
 from typing import Sequence
 
 from . import verification
-from .kbruhat import chains, interval
+from .kbruhat import interval, poset_chains
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
 from .perm import _check_hook, identity, parse_permutation
-from .qbruhat import parse_qelement, q_chains, q_interval
+from .qbruhat import parse_qelement, q_interval
 from .qschubert import (
     fgp_product,
     ll_reduce_product,
@@ -41,13 +41,10 @@ __all__ = ["main"]
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
+    try:  # a blank field, as in '2,,1' or '', is malformed, not skipped
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed {what} {text!r}") from None
-    if not parts:
-        raise ValueError(f"empty {what} {text!r}")
-    return parts
 
 
 def _emit_expansion(exp: Expansion, fmt: str) -> None:
@@ -161,17 +158,18 @@ def cmd_product(args) -> int:
 # -- intervals and chains ----------------------------------------------------------
 
 
-def _endpoints(args):
+def _poset(args):
+    """The interval from --u up to --target at --k, in the order the target
+    picks: the k-Bruhat order below a permutation, else the quantum one."""
     u = parse_permutation(args.u)
-    return u, parse_qelement(args.target, u.n), args.k
+    target = parse_qelement(args.target, u.n)
+    if target.is_classical():
+        return interval(u, target.w, args.k)
+    return q_interval(u, target, args.k)
 
 
 def cmd_interval(args) -> int:
-    u, target, k = _endpoints(args)
-    if target.is_classical():
-        poset = interval(u, target.w, k)
-    else:
-        poset = q_interval(u, target, k)
+    poset = _poset(args)
     if args.format == "dot":
         print(poset.to_dot())
     elif args.format == "json":
@@ -190,12 +188,7 @@ def cmd_interval(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    u, target, k = _endpoints(args)
-    if target.is_classical():
-        found = list(chains(u, target.w, k))
-    else:
-        found = list(q_chains(u, target, k))
-    found.sort(key=lambda ch: ch.labels)
+    found = sorted(poset_chains(_poset(args)), key=lambda ch: ch.labels)
     if args.format == "json":
         print(
             json.dumps(

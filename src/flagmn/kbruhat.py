@@ -19,8 +19,10 @@ Both orders run on kernels kept here, on one-line (alpha, word) tuples:
 ``_cover_swaps`` states the rule above, ``_quantum_swaps`` the quantum rule
 of ``qbruhat``, and ``_covers`` yields both kinds.  ``_x_covers`` yields
 the covers of both kinds through one position, the terms of x_m.  ``_walk``
-goes up from a bottom through ``_covers``; ``interval`` here and
-``q_interval`` and ``q_leq`` in ``qbruhat`` all read their answer off it.
+goes up from a bottom through ``_covers``, and its top picks the ring: below
+a classical top every quantum cover overshoots, so none is made.
+``interval`` here and ``q_interval`` and ``q_leq`` in ``qbruhat`` all read
+their answer off it, each passing ``_interval`` a builder for its elements.
 """
 
 from __future__ import annotations
@@ -270,16 +272,18 @@ class LabeledPoset:
         )
 
 
-def _walk(bottom: tuple, top: tuple, steps: int, k: int, quantum: bool) -> list[dict]:
+def _walk(bottom: tuple, top: tuple, steps: int, k: int) -> list[dict]:
     """The covers out of everything within ``steps`` levels above bottom.
 
     bottom and top are (alpha, word) pairs.  Returns one dict per level,
     0..steps, mapping each element reached there to its [(label, upper)]
     covers; the last level is not expanded.  A cover whose alpha exceeds
     top's on some wall can never come back below top, so it is dropped; a
-    classical cover keeps its alpha, which already lies below top's.
+    classical cover keeps its alpha, which already lies below top's, and
+    below a classical top no quantum cover is generated at all.
     """
     cap = top[0]
+    quantum = any(cap)
     levels = [{bottom: []}]
     for _ in range(steps):
         nxt: dict = {}
@@ -293,25 +297,17 @@ def _walk(bottom: tuple, top: tuple, steps: int, k: int, quantum: bool) -> list[
     return levels
 
 
-def _interval(bottom, top, steps: int, k: int, quantum: bool) -> LabeledPoset:
-    """[bottom, top] as a labeled poset, from a walk of ``steps`` levels.
+def _interval(lo: tuple, hi: tuple, steps: int, k: int, element) -> LabeledPoset | None:
+    """[lo, hi] as a labeled poset, from a walk of ``steps`` levels.
 
-    bottom and top are Permutations, or QElements when ``quantum`` is set;
-    only the elements on a saturated chain from bottom to top are built.
-    Raises ValueError when the walk does not reach top.
+    lo and hi are (alpha, word) pairs, and ``element(alpha, w)`` builds the
+    poset's element q^alpha w; only the elements on a saturated chain from
+    lo to hi are built.  None when the walk does not reach hi.
     """
-    if quantum:
-        from .qbruhat import QElement  # qbruhat builds on this module
-
-        lo, hi = (bottom.alpha, bottom.w.word), (top.alpha, top.w.word)
-    else:
-        zero = (0,) * (bottom.n - 1)
-        lo, hi = (zero, bottom.word), (zero, top.word)
-    levels = _walk(lo, hi, steps, k, quantum)
+    levels = _walk(lo, hi, steps, k)
     if hi not in levels[-1]:
-        order = f"{'quantum ' if quantum else ''}{k}-Bruhat order"
-        raise ValueError(f"{bottom} is not below {top} in the {order}")
-    # sweep back from top, keeping the elements that have a kept cover
+        return None
+    # sweep back from hi, keeping the elements that have a kept cover
     kept = [{hi}]
     for level in reversed(levels[:-1]):
         above = kept[-1]
@@ -319,13 +315,11 @@ def _interval(bottom, top, steps: int, k: int, quantum: bool) -> LabeledPoset:
             {x for x, ups in level.items() if any(y in above for _l, y in ups)}
         )
     kept.reverse()
-    obj = {lo: bottom, hi: top}
+    obj = {}
     rank_of = {}
     for r, keys in enumerate(kept):
         for key in keys:
-            if key not in obj:
-                w = Permutation._trusted(key[1])
-                obj[key] = QElement._trusted(key[0], w) if quantum else w
+            obj[key] = element(key[0], Permutation._trusted(key[1]))
             rank_of[obj[key]] = r
     elements = tuple(sorted(rank_of, key=lambda x: (rank_of[x], str(x))))
     edges = tuple(
@@ -340,7 +334,7 @@ def _interval(bottom, top, steps: int, k: int, quantum: bool) -> LabeledPoset:
             key=lambda e: (rank_of[e[0]], str(e[0]), str(e[1])),
         )
     )
-    return LabeledPoset(bottom, top, elements, edges, rank_of)
+    return LabeledPoset(obj[lo], obj[hi], elements, edges, rank_of)
 
 
 def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
@@ -350,7 +344,10 @@ def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
     """
     if not leq_k(u, w, k):  # fails fast, before the walk fills every level
         raise ValueError(f"{u} is not below {w} in the {k}-Bruhat order")
-    return _interval(u, w, w.length - u.length, k, False)
+    zero = (0,) * (u.n - 1)
+    return _interval(
+        (zero, u.word), (zero, w.word), w.length - u.length, k, lambda _a, x: x
+    )
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,7 @@ def poset_chains(poset: LabeledPoset) -> Iterator[Chain]:
         pairs.sort(key=lambda p: (p[0], str(p[1])))
 
     def walk(x, elems, labs):
-        if x == poset.top and len(labs) == poset.rank_of[poset.top]:
+        if x == poset.top:
             yield Chain(tuple(elems), tuple(labs))
             return
         for lab, y in adj.get(x, ()):

@@ -74,6 +74,8 @@ class OperatorWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         object.__setattr__(
             self, "letters", tuple((a, b) for a, b in self.letters)
         )

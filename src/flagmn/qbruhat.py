@@ -140,11 +140,11 @@ def q_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
     return out
 
 
-def _bottom(u: Permutation, t: QElement, k: int) -> QElement:
-    """u as the bottom of an interval up to t, once u, t and k fit together."""
+def _ends(u: Permutation, t: QElement, k: int) -> tuple[tuple, tuple]:
+    """The (alpha, word) ends of a walk from u up to t, once u, t and k fit."""
     _check_size(u.n, t.w.n)
     _check_k(u.n, k)
-    return QElement._trusted((0,) * (u.n - 1), u)
+    return ((0,) * (u.n - 1), u.word), (t.alpha, t.w.word)
 
 
 def q_interval(u: Permutation, t: QElement, k: int) -> LabeledPoset:
@@ -152,14 +152,16 @@ def q_interval(u: Permutation, t: QElement, k: int) -> LabeledPoset:
 
     Raises ValueError when u is not below t.
     """
-    return _interval(_bottom(u, t, k), t, t.rank - u.length, k, True)
+    poset = _interval(*_ends(u, t, k), t.rank - u.length, k, QElement._trusted)
+    if poset is None:
+        raise ValueError(f"{u} is not below {t} in the quantum {k}-Bruhat order")
+    return poset
 
 
 def q_leq(u: Permutation, t: QElement, k: int) -> bool:
     """Whether u <= t in the quantum k-Bruhat order."""
-    bottom = (_bottom(u, t, k).alpha, u.word)
-    top = (t.alpha, t.w.word)
-    return top in _walk(bottom, top, t.rank - u.length, k, True)[-1]
+    bottom, top = _ends(u, t, k)
+    return top in _walk(bottom, top, t.rank - u.length, k)[-1]
 
 
 def q_chains(u: Permutation, t: QElement, k: int) -> Iterator[Chain]:

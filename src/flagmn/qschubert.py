@@ -8,19 +8,21 @@ The quantum products run on the engine they share with the classical ones
 - ``q_hook_multiply`` / ``q_powersum_multiply``: closed combinatorial rules
   summing over minimal intervals of the quantum k-Bruhat order.
 
-Two routes that do not use the minimal-interval rule check them; both still
-apply the quantum Monk rule through the shared x_m operator, the signed
-covers through position m.  ``fgp_product`` is an oracle that multiplies
-honestly in ZZ[q][x] after quantizing the Schur polynomial through quantum
-elementary polynomials E^j_i.  ``quantum_lr`` computes a single coefficient
-N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction: while alpha is
-nonzero, find a wall i where u descends, w ascends, and the second
-difference of alpha is 1 (2 when i = k); swapping positions i, i+1 in both
-u and w and stripping e_i from alpha preserves the coefficient exactly, so
-the classical coefficient reached at alpha = 0 is the answer.  When no wall
-qualifies the coefficient is zero.  ``ll_reduce_product`` runs that
-reduction, on one-line words, on every candidate term of a whole product,
-and computes each classical product it lands on once.
+Two routes that do not use the minimal-interval rule check them.
+``fgp_product`` is an oracle that multiplies honestly in ZZ[q][x] after
+quantizing the Schur polynomial through quantum elementary polynomials
+E^j_i; it applies the quantum Monk rule through the shared x_m operator,
+the signed covers through position m.  ``quantum_lr`` computes a single
+coefficient N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction:
+while alpha is nonzero, find a wall i where u descends, w ascends, and the
+second difference of alpha is 1 (2 when i = k); swapping positions i, i+1
+in both u and w and stripping e_i from alpha preserves the coefficient
+exactly, so the classical coefficient reached at alpha = 0 is the answer.
+When no wall qualifies the coefficient is zero.  ``ll_reduce_product`` runs
+that reduction, on one-line words, on every candidate term of a whole
+product.  It walks the quantum covers only to list those candidates, and
+multiplies each classical base it lands on once, with the classical x_m
+operator.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,

@@ -180,14 +180,6 @@ class Poly(_SparsePoly):
     def x(cls, i: int) -> "Poly":
         return cls({(0,) * (i - 1) + (1,): 1})
 
-    def times_x(self, i: int) -> "Poly":
-        out = {}
-        for exps, c in self.terms.items():
-            e = list(exps) + [0] * (i - len(exps))
-            e[i - 1] += 1
-            out[tuple(e)] = c
-        return Poly._trusted(out)
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -207,7 +199,7 @@ def _schubert_cached(word: tuple[int, ...]) -> Poly:
     r = des[-1]
     s = max(j for j in range(r + 1, w.n + 1) if w(j) < w(r))
     v = w.swap_positions(r, s)
-    p = _schubert_cached(v.trim().word).times_x(r)
+    p = _schubert_cached(v.trim().word) * Poly.x(r)
     # the transition terms: the (r-1)-Bruhat covers of v moving position r
     for i, l in _cover_swaps(v.word, r - 1):
         if l == r - 1:

@@ -327,11 +327,32 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "", "--k", "1"),
         ("product", "--u", " ", "--n", "3", "--k", "1", "--hook", "1,1"),
         ("interval", "--u", "", "--target", "12", "--k", "1"),
+        # a blank field of --lambda or --hook is refused, not skipped
+        ("product", "--u", "1432", "--k", "2", "--lambda", "2,,1"),
+        ("product", "--u", "1432", "--k", "2", "--lambda", ",1"),
+        ("product", "--u", "1432", "--k", "2", "--lambda", "2,1,"),
+        ("product", "--u", "1432", "--k", "2", "--lambda", ""),
+        ("product", "--u", "1432", "--k", "2", "--hook", "1,,1"),
+        # a negative ambient size is refused, even for the empty word
+        ("operators", "--word", "", "--n", "-3"),
+        ("operators", "--word", "v(1,2)", "--n", "-3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert main(list(argv)) == 2
 
+
+
+def test_blank_fields_are_named(capsys):
+    for flag, text, what in (
+        ("--lambda", "2,,1", "partition"),
+        ("--lambda", ",1", "partition"),
+        ("--hook", "1,,1", "--hook"),
+    ):
+        argv = ("product", "--u", "1432", "--k", "2", flag, text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: malformed {what} {text!r}\n"
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

@@ -127,6 +127,12 @@ def test_word_validation():
         OperatorWord(3, ((2, 2),))
     with pytest.raises(ValueError):
         parse_word("garbage", 5)
+    # a negative n is refused before any letter is read against it
+    for letters in ((), ((1, 2),)):
+        with pytest.raises(ValueError, match=re.escape("n must be >= 0, got -3")):
+            OperatorWord(-3, letters)
+    # the empty word flattens onto S_0
+    assert flatten_word(OperatorWord(5, ())) == OperatorWord(0, ())
     assert parse_word("", 5) == OperatorWord(5, ())
     assert parse_word("v(2,3)v(1,2)", 3).letters == ((2, 3), (1, 2))
     # text the letters leave over is named, not skipped

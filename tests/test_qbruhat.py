@@ -247,6 +247,34 @@ def test_q_interval_at_a_classical_top_is_the_classical_interval():
                 assert got == want, (u, w, k)
 
 
+def test_walk_below_a_classical_top_makes_no_quantum_cover(monkeypatch, capsys):
+    # below a classical top every quantum cover overshoots the cap, so the
+    # walk never asks for one: the quantum cover kernel may as well be gone
+    from flagmn import kbruhat
+    from flagmn.cli import main
+
+    def refuse(*_args):
+        raise AssertionError("a quantum cover was generated")
+
+    monkeypatch.setattr(kbruhat, "_quantum_swaps", refuse)
+    perms = list(all_permutations(4))
+    pairs = 0
+    for u in perms:
+        for w in perms:
+            for k in (1, 2, 3):
+                t = QElement((0, 0, 0), w)
+                assert q_leq(u, t, k) == kbruhat.leq_k(u, w, k)
+                if not kbruhat.leq_k(u, w, k):
+                    continue
+                pairs += 1
+                poset = q_interval(u, t, k)
+                assert len(list(q_chains(u, t, k))) == len(list(poset_chains(poset)))
+                for cmd in ("interval", "chains"):
+                    argv = [cmd, "--u", str(u), "--target", str(w), "--k", str(k)]
+                    assert main(argv) == 0
+                    capsys.readouterr()
+    assert pairs > 100
+
 def test_q_leq():
     u = parse_permutation("41352")
     assert q_leq(u, qe("q_{3,5} 52134", 5), 3)
