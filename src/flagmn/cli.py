@@ -3,8 +3,16 @@
 Exit codes: 0 success, 1 a verification or reproduction failed, 2 bad usage.
 Bad usage is any ValueError.  The library validates every value (the k-range,
 partitions and shapes, hooks, power-sum degrees, sizes), so the front end
-checks only what it alone knows: integer syntax, the two entries of --hook,
-and a positive width to infer the ambient S_n from when --u is e.
+checks only what it alone knows:
+
+- integer syntax, with no blank field in --hook or --lambda;
+- exactly one of --hook, --powersum and --lambda, and two entries in --hook;
+- with --u e, a positive width to infer the ambient S_n from;
+- an ambient S_n of at least S_2;
+- an --n no smaller than the S_n of --u (product and operators);
+- a --basis that applies to the product asked for;
+- for operators, --u and --k given together, and neither with --format dot.
+
 Stdout is deterministic - rerunning a command emits identical bytes, and
 ``verify`` runs the gate serially in one process.  Timings go to stderr.
 """

@@ -233,9 +233,6 @@ class LabeledPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: Hashable) -> bool:
-        return x in self.rank_of
-
     def levels(self) -> dict[int, list]:
         out: dict[int, list] = {}
         for x in self.elements:

@@ -91,7 +91,8 @@ class Permutation:
         return self._hash
 
     def __lt__(self, other: "Permutation") -> bool:
-        # lexicographic on one-line words; used only for canonical output order
+        # lexicographic on one-line words; perfbench/workloads.py sorts the
+        # Permutation keys of poly_product results with it
         return self.word < other.word
 
     def __repr__(self) -> str:

@@ -4,7 +4,8 @@ The quantum products run on the engine they share with the classical ones
 (see ``schubert``), with its quantum edges switched on:
 
 - ``q_monk_multiply`` / ``q_x_times``: the degree-one products, which
-  determine the ring structure;
+  determine the ring structure; ``q_monk_multiply`` takes an ``Expansion``
+  or a ``Permutation`` u, which stands for S_u;
 - ``q_hook_multiply`` / ``q_powersum_multiply``: closed combinatorial rules
   summing over minimal intervals of the quantum k-Bruhat order.
 
@@ -280,17 +281,11 @@ def rho_element(alpha: tuple[int, ...], x: QElement) -> QElement:
 # -- the quantum product --------------------------------------------------------
 
 
-def _as_expansion(x: Expansion | QElement | Permutation) -> Expansion:
-    if isinstance(x, Expansion):
-        return x
-    if isinstance(x, QElement):
-        return Expansion(x.w.n, {x: 1})
-    return Expansion.unit(x)
-
-
-def q_monk_multiply(exp: Expansion | QElement | Permutation, k: int) -> Expansion:
-    """The quantum product by S_{(k,k+1)}, extended ZZ[q]-linearly."""
-    exp = _as_expansion(exp)
+def q_monk_multiply(exp: Expansion | Permutation, k: int) -> Expansion:
+    """The quantum product by S_{(k,k+1)}, extended ZZ[q]-linearly; a
+    Permutation u stands for S_u."""
+    if isinstance(exp, Permutation):
+        exp = Expansion.unit(exp)
     _check_k(exp.n, k)
     covers = [(y, c) for x, c in exp.terms.items() for _lab, y in q_up_covers(x, k)]
     return Expansion(exp.n, covers)
@@ -352,9 +347,6 @@ class QPoly(_SparsePoly):
     def classical_part(self) -> Poly:
         """The polynomial obtained by setting every q_i to zero."""
         return Poly({xe: c for (xe, qe), c in self.terms.items() if not qe})
-
-    def coefficient(self, xe: tuple[int, ...], qe: tuple[int, ...] = ()) -> int:
-        return self.terms.get((_trim(tuple(xe)), _trim(tuple(qe))), 0)
 
 
 @lru_cache(maxsize=None)

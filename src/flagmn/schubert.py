@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .kbruhat import _cover_swaps, _covers, _peakless_binomial, _x_covers, up_covers
 from .perm import (
@@ -117,9 +117,6 @@ class _SparsePoly:
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -213,7 +210,12 @@ def schubert_poly(w: Permutation) -> Poly:
 
 
 def schur_poly(lam: tuple[int, ...], k: int) -> Poly:
-    """s_lambda(x_1, ..., x_k), via the Grassmannian Schubert polynomial."""
+    """s_lambda(x_1, ..., x_k), via the Grassmannian Schubert polynomial.
+
+    k = 0 is allowed (s_() = 1, every other s_lambda = 0); a negative k is not.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     lam = _check_partition(lam)
     if not lam:
         return Poly.one()
@@ -313,9 +315,6 @@ class Expansion:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[QElement, int]]:
-        return iter(self.items())
 
     def text(self) -> str:
         if not self.terms:

@@ -6,7 +6,9 @@ import json
 import pathlib
 import random
 import re
+import runpy
 import shlex
+import sys
 
 import pytest
 
@@ -60,6 +62,19 @@ def test_value_errors_come_from_the_library(capsys):
     # with --u e the ambient S_n comes from the width, so it must be positive
     code, _, err = run(capsys, "product", "--u", "e", "--k", "1", "--powersum", "0")
     assert code == 2 and err.endswith("positive --powersum width, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--u", "1", "--k", "1", "--hook", "1,1"),
+        ("--u", "e", "--n", "1", "--k", "1", "--hook", "1,1"),
+        ("--u", "e", "--k", "0", "--hook", "1,1"),
+    ],
+)
+def test_ambient_s1_is_refused(capsys, argv):
+    code, out, err = run(capsys, "product", *argv)
+    assert (code, out, err) == (2, "", "usage error: ambient S_1 is too small\n")
 
 
 def test_comma_separated_u_infers_the_same_ambient(capsys):
@@ -210,6 +225,83 @@ def test_chain_listing(capsys):
     assert labels == sorted(labels)  # sorted by label sequence
 
 
+def test_chains_json_bytes(capsys):
+    code, out, _ = run(
+        capsys,
+        "chains", "--u", "1432", "--target", "q^(0,1,0) 1432", "--k", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == """\
+{
+  "chains": [
+    {
+      "labels": [
+        4,
+        3
+      ],
+      "elements": [
+        "1432",
+        "q^(0,1,0) 1342",
+        "q^(0,1,0) 1432"
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_operators_dot_bytes(capsys):
+    code, out, _ = run(
+        capsys, "operators", "--word", "v(2,3) v(1,2)", "--n", "3", "--format", "dot"
+    )
+    assert code == 0
+    assert out == """\
+graph word {
+  node [shape=circle];
+  1;
+  2;
+  3;
+  1 -- 2 [label="1", color=green, style=solid];
+  2 -- 3 [label="2", color=green, style=solid];
+}
+"""
+
+
+def test_operators_json_bytes(capsys):
+    code, out, _ = run(
+        capsys,
+        "operators", "--word", "v(2,3) v(1,2)", "--n", "3",
+        "--u", "132", "--k", "1", "--format", "json",
+    )
+    assert code == 0
+    assert out == """\
+{
+  "word": "v(2,3) v(1,2)",
+  "letters": [
+    [
+      2,
+      3
+    ],
+    [
+      1,
+      2
+    ]
+  ],
+  "n": 3,
+  "class": "path(row)",
+  "action": "321"
+}
+"""
+    # without --u and --k there is no action to report
+    code, out, _ = run(
+        capsys,
+        "operators", "--word", "v(2,3) v(1,2)", "--n", "3", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["action"] is None
+
+
 def test_operators_action(capsys):
     code, out, _ = run(
         capsys,
@@ -244,6 +336,31 @@ def test_reproduce_matches_fixture(capsys):
     assert code == 0
     assert out == fixture_text("q-monk")
     assert "matches" in err
+
+
+def test_reproduce_mismatch_prints_a_diff_and_exits_1(capsys, monkeypatch):
+    # a reduction that sticks at once rewrites the q-minimal reduction path
+    monkeypatch.setattr(verification, "ll_reduce_step", lambda query: None)
+    code, out, err = run(capsys, "reproduce", "q-minimal")
+    assert code == 1
+    assert "  stuck: coefficient is zero\n" in out
+    assert err == """\
+--- bundled/q-minimal
++++ recomputed
+@@ -1,8 +1,6 @@
+ N^(w,alpha)_(u,v(lam,5)) for u = 68235741, w = 78251346, alpha = (0,0,0,0,1,1,1) in S_8[q]
+ reduction path:
+-  i=7  u=68235714  w=78251364  alpha=(0,0,0,0,1,1,0)
+-  i=6  u=68235174  w=78251634  alpha=(0,0,0,0,1,0,0)
+-  i=5  u=68231574  w=78256134  alpha=(0,0,0,0,0,0,0)
++  stuck: coefficient is zero
+ numerical parts at |lam| = 4:
+   (4)          0
+   (3,1)        0
+"""
+    code, out, _ = run(capsys, "verify", "q-minimal")
+    assert code == 1
+    assert out.splitlines()[0].endswith(": reproduce != the bundled fixture")
 
 
 def test_verify_single_check(capsys):
@@ -353,6 +470,17 @@ def test_blank_fields_are_named(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"usage error: malformed {what} {text!r}\n"
+
+# runpy warns that it runs flagmn.cli again although the tests imported it
+@pytest.mark.filterwarnings("ignore:'flagmn.cli' found in sys.modules:RuntimeWarning")
+def test_python_dash_m_exits_with_the_code_of_main(capsys, monkeypatch):
+    for argv, code in ((["verify", "q-monk"], 0), (["verify", "nope"], 2)):
+        monkeypatch.setattr(sys, "argv", ["flagmn", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("flagmn.cli", run_name="__main__")
+        assert exit_.value.code == code
+    assert capsys.readouterr().out.splitlines()[-1] == "all 1 checks passed"
+
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

@@ -702,6 +702,35 @@ def test_classify_small_examples():
     assert classify(OperatorWord(3, ())) == "other"
 
 
+def test_empty_word_is_the_identity_not_zero():
+    assert not is_zero_word(OperatorWord(3, ()))
+    assert act(OperatorWord(3, ()), P("213"), 1) == qe("213", 3)
+
+
+@pytest.mark.parametrize(
+    "text, patches, message",
+    [
+        # a path acting somewhere carries at most one quantum letter
+        ("v(3,2) v(2,1)", {"is_row": True}, "nonzero path with two quantum letters"),
+        # a path of two letters or more is never a row and a column at once
+        ("v(2,3) v(1,2)", {"is_column": True}, "multi-letter path is both row and column"),
+        # a nonzero path is a row or a column
+        (
+            "v(2,3) v(1,2)",
+            {"is_row": False, "is_column": False, "is_zero_word": False},
+            "nonzero path is neither row nor column",
+        ),
+    ],
+)
+def test_classify_reports_a_path_theorem_violation(monkeypatch, text, patches, message):
+    word = W(text, 3)
+    assert is_path_word(word)
+    for name, value in patches.items():
+        monkeypatch.setattr(operators, name, lambda w, value=value: value)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}: "):
+        classify(word)
+
+
 def test_classify_figure_words():
     f12 = OperatorWord.from_application(
         9, ((5, 9), (6, 7), (7, 8), (9, 1), (1, 2), (2, 3), (3, 4))
@@ -919,6 +948,17 @@ def test_rc_decompose_single_letter():
     R, C, r = rc_decompose(word, P("123"), 2)
     assert r == 0
     assert len(R) + len(C) == 1
+
+
+def test_rc_decompose_raises_when_no_chain_splits(monkeypatch):
+    word, u, k = W("v(2,3)", 3), P("123"), 2
+    target = act(word, u, k)
+    # every shifted composition now kills the shifted u, so each chain and cut
+    # fails the action check and the search runs out
+    monkeypatch.setattr(operators, "act", lambda *args: target)
+    monkeypatch.setattr(operators, "_act_word", lambda *args: None)
+    with pytest.raises(RuntimeError, match="contradicts the decomposition theorem$"):
+        rc_decompose(word, u, k)
 
 
 def test_rc_decompose_classical_tree():

@@ -100,6 +100,13 @@ def test_cycles_canonical_form():
     assert from_cycles([(3, 6), (1, 7, 4)], 7).cycles() == ((1, 7, 4), (3, 6))
 
 
+def test_from_cycles_refuses_a_bad_entry():
+    with pytest.raises(ValueError, match="^bad cycle entry 8$"):
+        from_cycles([(1, 8)], 7)  # outside 1..n
+    with pytest.raises(ValueError, match="^bad cycle entry 2$"):
+        from_cycles([(1, 2), (2, 3)], 3)  # in two cycles
+
+
 def test_flatten():
     assert flatten((3, 6, 1, 6, 8, 3, 1)) == (2, 3, 1, 3, 4, 2, 1)
     assert flatten(()) == ()
@@ -124,6 +131,20 @@ def test_from_code_refuses_a_negative_entry():
     want = r"^code \(0, -1, 0\) has a negative entry$"
     with pytest.raises(ValueError, match=want):
         from_code((0, -1, 0))
+
+
+def test_from_code_refuses_an_ambient_too_small():
+    with pytest.raises(ValueError, match=r"^code \(0, 2\) needs n >= 4$"):
+        from_code((0, 2), 3)
+
+
+def test_permutations_sort_lexicographically():
+    # the order of sorted(poly_product(...).items()), as perfbench sorts them
+    words = ("231", "123", "312", "132", "213")
+    got = sorted(map(parse_permutation, words))
+    assert [str(w) for w in got] == ["123", "132", "213", "231", "312"]
+    product = poly_product(parse_permutation("132"), (1,), 2)
+    assert [str(w) for w, _c in sorted(product.items())] == ["1423", "231"]
 
 
 @pytest.mark.parametrize("i", [-1, 0, 3, 4])

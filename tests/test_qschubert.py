@@ -25,6 +25,7 @@ from flagmn.qschubert import (
     QPoly,
     _elementary_poly,
     _exchange,
+    _invert_unimodular,
     _reduced,
     _standard_solver,
     fgp_product,
@@ -198,6 +199,14 @@ def test_quantum_monk_s4():
             qe("q^(0,1,1) 1234", 4): 1,
         },
     )
+
+
+def test_repr_evaluates_back():
+    u = parse_permutation("1432")
+    exp = q_monk_multiply(u, 2)
+    names = {"Permutation": Permutation, "QElement": QElement, "Expansion": Expansion}
+    for obj in (u, qe("q^(0,1,1) 1234", 4), exp, Expansion(4)):
+        assert eval(repr(obj), names) == obj
 
 
 def test_quantum_monk_is_linear_and_respects_q():
@@ -414,6 +423,12 @@ def test_degree_blocks_match_the_full_inverse(n):
             seen.add((tup, xe))
     assert all(v == 0 for key, v in full.items() if key not in seen)
     assert all(sum(tup) != sum(xe) for tup, xe in full.keys() - seen)
+
+
+def test_inverse_needs_a_unit_pivot_in_every_column():
+    assert _invert_unimodular([{0: -1}]) == [{0: -1}]
+    with pytest.raises(RuntimeError, match="^elementary-monomial basis is not unimodular$"):
+        _invert_unimodular([{0: 2}])
 
 
 def test_quantum_schur_validates_shape():

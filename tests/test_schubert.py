@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from flagmn import schubert
 from flagmn.perm import (
     Permutation,
     all_permutations,
@@ -50,6 +51,7 @@ def test_poly_basics():
     assert Poly.one().degree() == 0
     assert (x1 * 3).coefficient((1,)) == 3
     assert str(x1 * x1 - 2 * x2) == "-2*x2 +x1^2"
+    assert str(p - p) == "0"
 
 
 def test_poly_trailing_zeros_normalized():
@@ -58,7 +60,6 @@ def test_poly_trailing_zeros_normalized():
     # keys equal up to trailing zeros add up, and a zero sum drops out
     assert str(poly_of({(1,): 2, (1, 0): 3})) == "+5*x1"
     assert poly_of({(1,): 2, (1, 0): -2}).terms == {}
-
 
 def test_divided_difference_monomials():
     # d_1 of x1^2 = x1 + x2; d_1 of x1 x2 = 0; d_1 of x2 = -1
@@ -164,6 +165,17 @@ def test_schur_poly_matches_tableaux():
                 assert schur_poly(lam, k) == ssyt_schur(lam, k), (lam, k)
 
 
+def test_schur_poly_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+        schur_poly((1,), -1)
+    with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+        poly_product(parse_permutation("132"), (1,), -1)
+    # with no variables only the empty shape survives
+    assert schur_poly((), 0) == Poly.one()
+    assert schur_poly((1,), 0) == Poly()
+    assert poly_product(parse_permutation("132"), (1,), 0) == {}
+
+
 def test_schur_poly_is_symmetric():
     p = schur_poly((2, 1), 3)
     assert divided_difference(p, 1) == Poly()
@@ -192,6 +204,13 @@ def test_expand_in_schubert_products():
     }
 
 
+def test_expand_in_schubert_guards_its_pivot(monkeypatch):
+    # a Schubert polynomial without its leading monomial cannot strip it
+    monkeypatch.setattr(schubert, "schubert_poly", lambda w: Poly())
+    with pytest.raises(RuntimeError, match=r"^pivot monomial \(0, 1\) not eliminated$"):
+        expand_in_schubert(Poly.x(2))
+
+
 # -- expansions ---------------------------------------------------------------
 
 
@@ -204,6 +223,19 @@ def test_expansion_algebra():
     assert not (two - two)
     assert (3 * e).coefficient(u) == 3
     assert e.text() == "+1 1432"
+
+
+def test_expansion_refuses_a_term_of_another_size():
+    x = QElement((0, 0), parse_permutation("213"))
+    with pytest.raises(ValueError, match=r"^term 213 not in S_4\[q\]$"):
+        Expansion(4, {x: 1})
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_x_times_refuses_a_variable_out_of_range(m):
+    unit = Expansion.unit(parse_permutation("1432"))
+    with pytest.raises(ValueError, match=rf"^x_{m} is not a variable of H\*Fl_4$"):
+        x_times(unit, m)
 
 
 def test_expansion_text_ordering():

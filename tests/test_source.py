@@ -86,3 +86,25 @@ def test_late_import_is_caught():
         "import os\n"
     )
     assert _package_imports(tree) == ["perm", "cli", "qbruhat", "schubert", "operators"]
+
+
+def test_statement_coverage_counts_the_statements_never_run():
+    from statement_coverage import statements, unrun
+
+    source = (
+        '"""module docstring"""\n'  # 1
+        "@decorator\n"  # 2
+        "def f(x):\n"  # 3
+        '    """docstring"""\n'  # 4
+        "    global g\n"  # 5
+        "    y: int\n"  # 6
+        "    if x:\n"  # 7
+        "        return (\n"  # 8
+        "            1)\n"  # 9
+        "    return 2\n"  # 10
+    )
+    # no code for docstrings, global and a bare annotation in a function
+    assert statements(source) == [(2, 10), (7, 9), (8, 9), (10, 10)]
+    assert unrun(source, {3, 7, 10}) == [8]
+    # any line of a statement counts, the continuation of an expression too
+    assert unrun(source, {9}) == [10]

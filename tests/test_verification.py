@@ -5,10 +5,13 @@ directly, so it stays fast while showing that a FAIL line would name the
 case and the routes that disagreed.
 """
 
+import dataclasses
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import flagmn
 from flagmn import verification
@@ -104,6 +107,14 @@ def test_path_worker_names_the_failing_word(monkeypatch):
     assert verification._path_worker(letters) == (1, f"{word}: both row and column")
 
 
+def test_path_worker_refuses_a_word_that_is_not_a_path():
+    # the sweep draws only paths; a star on 1 is caught before any test runs
+    assert verification._path_worker(((1, 2), (1, 3), (1, 4))) == (
+        0,
+        "v(1,4) v(1,3) v(1,2): not a path word",
+    )
+
+
 def test_gate_case_lists_count_distinct_cases():
     # quantum-paths and quantum-oracles print len(cases), so no case repeats
     paths = list(verification._structural_paths(5))
@@ -144,3 +155,47 @@ def test_interval_worker_names_the_failing_transport(monkeypatch):
     # no map at all: the target interval does not exist
     monkeypatch.setattr(verification, "w0_element", lambda z: z)
     assert verification._interval_worker(case) == failed
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        # the same elements one rank higher: the grading is not carried over
+        lambda p: dataclasses.replace(
+            p, rank_of={z: r + 1 for z, r in p.rank_of.items()}
+        ),
+        # the same graded elements with no covers: an edge is not carried over
+        lambda p: dataclasses.replace(p, edges=()),
+    ],
+    ids=["ranks", "edges"],
+)
+def test_interval_worker_checks_ranks_and_edges(monkeypatch, broken):
+    case = verification._random_interval_cases(1, verification._SEED_INTERVALS)[0]
+    u_word, k, alpha, w_word = case
+    u, top = Permutation(u_word), QElement(alpha, Permutation(w_word))
+    real = verification.q_interval
+
+    def target_broken(bottom, new_top, new_k):
+        poset = real(bottom, new_top, new_k)
+        return poset if (bottom, new_top, new_k) == (u, top, k) else broken(poset)
+
+    monkeypatch.setattr(verification, "q_interval", target_broken)
+    assert verification._interval_worker(case) == (
+        1,
+        f"u={u} k={k} top={top}: shift transport fails",
+    )
+
+
+def test_q_minimal_example_reports_a_stuck_reduction(monkeypatch):
+    monkeypatch.setattr(verification, "ll_reduce_step", lambda query: None)
+    values, text = verification._q_minimal_example()
+    assert text.splitlines()[1:3] == ["reduction path:", "  stuck: coefficient is zero"]
+    # the coefficients come from quantum_lr, which does not take this step
+    assert values[(2, 2)] == 1
+
+
+def test_unknown_fixture_and_example_names_are_refused():
+    with pytest.raises(ValueError, match="^unknown fixture 'nope'; choose from "):
+        verification.fixture_text("nope")
+    with pytest.raises(ValueError, match="^unknown example 'nope'; choose from "):
+        verification.reproduce_text("nope")
