@@ -2,9 +2,9 @@
 
 Run from the repository root:
 
-    python tests/statement_coverage.py [pytest arguments]
+    python tests/statement_coverage.py
 
-It runs pytest (by default on ``tests``) in this process under a stdlib
+It runs ``pytest tests`` in this process under a stdlib
 ``sys.settrace`` line tracer, then prints how many ``ast`` statements of
 ``src/flagmn`` never ran and where they are, one ``path:line: source`` a
 line.  Only the pytest process is traced: code run in a subprocess counts
@@ -74,8 +74,8 @@ def unrun(source: str, ran: set[int]) -> list[int]:
     ]
 
 
-def _trace(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``args`` under the line tracer; (exit code, lines run by file)."""
+def _trace() -> tuple[int, dict[str, set[int]]]:
+    """Run ``pytest tests`` under the line tracer; (exit code, lines run by file)."""
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
     tracers: dict[str, object] = {}
@@ -100,15 +100,15 @@ def _trace(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
-        code = pytest.main(args)
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return code, ran
 
 
-def main(argv: list[str]) -> int:
-    code, ran = _trace(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+def main() -> int:
+    code, ran = _trace()
     total = 0
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -123,4 +123,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

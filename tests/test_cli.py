@@ -361,6 +361,9 @@ def test_reproduce_mismatch_prints_a_diff_and_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "q-minimal")
     assert code == 1
     assert out.splitlines()[0].endswith(": reproduce != the bundled fixture")
+    # the coefficients come from quantum_lr, which does not take this step
+    values, _ = verification._q_minimal_example()
+    assert values[(2, 2)] == 1
 
 
 def test_verify_single_check(capsys):
@@ -470,6 +473,7 @@ def test_blank_fields_are_named(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"usage error: malformed {what} {text!r}\n"
+
 
 # runpy warns that it runs flagmn.cli again although the tests imported it
 @pytest.mark.filterwarnings("ignore:'flagmn.cli' found in sys.modules:RuntimeWarning")

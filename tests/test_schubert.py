@@ -61,6 +61,7 @@ def test_poly_trailing_zeros_normalized():
     assert str(poly_of({(1,): 2, (1, 0): 3})) == "+5*x1"
     assert poly_of({(1,): 2, (1, 0): -2}).terms == {}
 
+
 def test_divided_difference_monomials():
     # d_1 of x1^2 = x1 + x2; d_1 of x1 x2 = 0; d_1 of x2 = -1
     assert divided_difference(poly_of({(2,): 1}), 1) == poly_of({(1,): 1, (0, 1): 1})

@@ -105,9 +105,6 @@ def test_path_worker_names_the_failing_word(monkeypatch):
     monkeypatch.setattr(verification, "is_column", lambda word: True)
     word = OperatorWord.from_application(5, letters)
     assert verification._path_worker(letters) == (1, f"{word}: both row and column")
-
-
-def test_path_worker_refuses_a_word_that_is_not_a_path():
     # the sweep draws only paths; a star on 1 is caught before any test runs
     assert verification._path_worker(((1, 2), (1, 3), (1, 4))) == (
         0,
@@ -184,14 +181,6 @@ def test_interval_worker_checks_ranks_and_edges(monkeypatch, broken):
         1,
         f"u={u} k={k} top={top}: shift transport fails",
     )
-
-
-def test_q_minimal_example_reports_a_stuck_reduction(monkeypatch):
-    monkeypatch.setattr(verification, "ll_reduce_step", lambda query: None)
-    values, text = verification._q_minimal_example()
-    assert text.splitlines()[1:3] == ["reduction path:", "  stuck: coefficient is zero"]
-    # the coefficients come from quantum_lr, which does not take this step
-    assert values[(2, 2)] == 1
 
 
 def test_unknown_fixture_and_example_names_are_refused():
