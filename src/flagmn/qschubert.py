@@ -22,8 +22,9 @@ exactly, so the classical coefficient reached at alpha = 0 is the answer.
 When no wall qualifies the coefficient is zero.  ``ll_reduce_product`` runs
 that reduction, on one-line words, on every candidate term of a whole
 product.  It walks the quantum covers only to list those candidates, and
-multiplies each classical base it lands on once, with the classical x_m
-operator.
+multiplies each classical base it lands on with the classical x_m operator,
+through a bounded memo shared across calls, since many u reduce to the same
+base.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
@@ -201,19 +202,31 @@ def quantum_lr(query: QLRQuery) -> int:
     return schur_multiply(u, query.lam, query.k).coefficient(w)
 
 
+@lru_cache(maxsize=4096)
+def _classical_terms(base: tuple[int, ...], monomials: tuple) -> dict:
+    """The nonzero {w: c} of S_base times the classical monomials, by the
+    Monk x_m operator.
+
+    The memo is shared by every ``ll_reduce_product`` call, so callers read
+    the dict and never mutate it.
+    """
+    terms = _operator_terms(base, monomials, False)
+    return {w: c for (_alpha, w), c in terms.items() if c}
+
+
 def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u * s^q_lam(x_1..x_k) by the descent exchange, term by term.
 
     By Postnikov's quantum Pieri rule every term lies at the top of a walk
     of |lam| steps up the quantum k-Bruhat order from u, so those tops are
     the candidates; the hook rule is not consulted.  Each candidate reduces
-    to a coefficient of a classical product S_u' * s_lam, and each distinct
-    u' is multiplied once per call; all of it runs on one-line words.
+    to a coefficient of a classical product S_u' * s_lam, and the classical
+    products are memoized across calls (``_classical_terms``); all of it
+    runs on one-line words.
     """
     n = u.n
     lam = _check_shape(lam, k, n)
-    zero = (0,) * (n - 1)
-    frontier = {(zero, u.word)}
+    frontier = {((0,) * (n - 1), u.word)}
     for _ in range(sum(lam)):
         frontier = {
             (lifted, _swapped(word, i, l))
@@ -221,16 +234,13 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
             for i, l, lifted in _covers(alpha, word, k, True)
         }
     monomials = _schur_monomials(lam, k)
-    products: dict[tuple, dict] = {}
     terms = {}
     for alpha, word in frontier:
         words = _reduced(u.word, word, alpha, k)
         if words is None:
             continue
         base, w = words
-        if base not in products:
-            products[base] = _operator_terms(base, monomials, False)
-        terms[alpha, word] = products[base].get((zero, w), 0)
+        terms[alpha, word] = _classical_terms(base, monomials).get(w, 0)
     return _expansion(n, terms)
 
 

@@ -180,9 +180,6 @@ class Poly(_SparsePoly):
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def lexmin_monomial(self) -> tuple[int, ...]:
-        return min(self.terms)
-
     def coefficient(self, exps: tuple[int, ...]) -> int:
         return self.terms.get(_trim(tuple(exps)), 0)
 
@@ -224,24 +221,36 @@ def schur_poly(lam: tuple[int, ...], k: int) -> Poly:
     return schubert_poly(grassmannian(lam, k, k + lam[0]))
 
 
+@lru_cache(maxsize=1024)
+def _code_perm(code: tuple[int, ...]) -> Permutation:
+    """The trimmed permutation whose code is ``code``."""
+    return from_code(code).trim()
+
+
 def expand_in_schubert(p: Poly) -> dict[Permutation, int]:
     """Write p as an integer combination of Schubert polynomials.
 
     Repeatedly strips the lexicographically smallest monomial x^c, which can
     only be the leading monomial x^code(w) of the Schubert polynomial with
-    code c.  Permutation keys are trimmed.
+    code c.  The remainder is one plain dict, updated in place at each
+    pivot.  Permutation keys are trimmed.
     """
-    rem = Poly(dict(p.terms))
+    rem = dict(p.terms)
     out: dict[Permutation, int] = {}
     for _ in range(1_000_000):
         if not rem:
             return out
-        mono = rem.lexmin_monomial()
-        coeff = rem.terms[mono]
-        w = from_code(mono).trim()
+        mono = min(rem)
+        coeff = rem[mono]
+        w = _code_perm(mono)
         out[w] = coeff
-        rem = rem - coeff * schubert_poly(w)
-        if rem.coefficient(mono):
+        for e, c in schubert_poly(w).terms.items():
+            left = rem.get(e, 0) - coeff * c
+            if left:
+                rem[e] = left
+            else:
+                del rem[e]
+        if mono in rem:
             raise RuntimeError(f"pivot monomial {mono} not eliminated")
     raise RuntimeError("expansion did not terminate")
 
@@ -392,9 +401,9 @@ def _operator_sum(u: Permutation, monomials, quantum: bool) -> Expansion:
     return _expansion(u.n, _operator_terms(u.word, monomials, quantum))
 
 
-def _schur_monomials(lam: tuple[int, ...], k: int) -> list:
+def _schur_monomials(lam: tuple[int, ...], k: int) -> tuple:
     """s_lambda(x_1, ..., x_k) as the monomials ``_operator_terms`` takes."""
-    return [((e, ()), c) for e, c in schur_poly(lam, k).monomials()]
+    return tuple(((e, ()), c) for e, c in schur_poly(lam, k).monomials())
 
 
 def _minimal_rule(u: Permutation, k: int, r: int, quantum: bool, coeff) -> Expansion:

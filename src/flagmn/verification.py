@@ -620,14 +620,13 @@ def _independence_worker(args: tuple[int, tuple[int, ...]]) -> list:
     n, word = args
     u = Permutation(word)
     hooks_only = n >= 5
+    # the hook rule reads each coefficient off zeta alone, so it could never
+    # split a class: the S_5 hooks run through ll-reduce instead
+    multiply = ll_reduce_product if hooks_only else q_schur_multiply
     rows = []
     for k in range(1, n):
         for lam in _independence_shapes(n, k, hooks_only):
-            if hooks_only:
-                exp = q_hook_multiply(u, len(lam), lam[0], k)
-            else:
-                exp = q_schur_multiply(u, lam, k)
-            for z, c in exp.items():
+            for z, c in multiply(u, lam, k).items():
                 rows.append((str(z.w * u.inverse()), lam, c))
     return rows
 

@@ -27,6 +27,7 @@ from flagmn.qschubert import (
     _exchange,
     _invert_unimodular,
     _reduced,
+    _classical_terms,
     _standard_solver,
     fgp_product,
     ll_reduce_product,
@@ -50,6 +51,8 @@ from flagmn.qschubert import (
 from flagmn.schubert import (
     Expansion,
     Poly,
+    _code_perm,
+    _schur_monomials,
     _trim,
     hook_multiply_minimal,
     monk_multiply,
@@ -663,6 +666,47 @@ def test_ll_reduce_product_matches_the_hook_theorem_on_every_s5_hook():
                 for b in range(1, 5 - k + 1):
                     got = ll_reduce_product(u, hook_partition(a, b), k)
                     assert got == q_hook_multiply(u, a, b, k), (u, k, a, b)
+
+
+def _ll_reduce_hook_cases():
+    cases = [
+        (u, k, hook_partition(a, b))
+        for u in all_permutations(4)
+        for k in range(1, 4)
+        for a in range(1, k + 1)
+        for b in range(1, 4 - k + 1)
+    ]
+    rng = random.Random("ll-reduce-memo-s5")
+    words5 = [p.word for p in all_permutations(5)]
+    for _ in range(150):
+        u, k = Permutation(rng.choice(words5)), rng.randrange(1, 5)
+        cases.append((u, k, hook_partition(rng.randint(1, k), rng.randint(1, 5 - k))))
+    return cases
+
+
+def test_ll_reduce_product_is_the_same_with_its_memo_cold_and_warm():
+    cases = _ll_reduce_hook_cases()
+    cold = []
+    for u, k, lam in cases:
+        _classical_terms.cache_clear()
+        cold.append(ll_reduce_product(u, lam, k))
+    warm = [ll_reduce_product(u, lam, k) for u, k, lam in cases]
+    assert _classical_terms.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_classical_terms_are_the_nonzero_terms_of_schur_multiply():
+    for u in all_permutations(4):
+        for k in range(1, 4):
+            for lam in _rectangle_shapes(k, 4):
+                want = schur_multiply(u, lam, k).classical_terms()
+                got = _classical_terms(u.word, _schur_monomials(lam, k))
+                assert got == {w.word: c for w, c in want.items()}, (u, k, lam)
+
+
+def test_the_memos_are_bounded():
+    for memo in (_classical_terms, _code_perm):
+        assert isinstance(memo.cache_info().maxsize, int)
 
 
 def test_ll_reduce_product_validates_up_front():

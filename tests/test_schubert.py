@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagmn import schubert
 from flagmn.perm import (
@@ -101,7 +104,7 @@ def test_schubert_poly_leading_monomial_is_code():
         code = u.code()
         while code and code[-1] == 0:
             code = code[:-1]
-        assert schubert_poly(u).lexmin_monomial() == code
+        assert min(schubert_poly(u).terms) == code
         assert schubert_poly(u).coefficient(u.code()) == 1
 
 
@@ -203,6 +206,39 @@ def test_expand_in_schubert_products():
         Permutation((1, 4, 2, 3)): 1,
         Permutation((2, 3, 1)): 1,
     }
+
+
+def _recombined(expansion):
+    return sum((c * schubert_poly(w) for w, c in expansion.items()), Poly())
+
+
+def test_expand_in_schubert_gives_back_seeded_products():
+    rng = random.Random("expand-products")
+    for n in (3, 4, 5):
+        words = [u.word for u in all_permutations(n)]
+        for _ in range(40):
+            u, k = Permutation(rng.choice(words)), rng.randrange(1, n)
+            lam = rng.choice(
+                [lam for size in range(1, 4) for lam in partitions(size, n - k, k)]
+            )
+            p = schubert_poly(u) * schur_poly(lam, k)
+            assert _recombined(expand_in_schubert(p)) == p, (u, k, lam)
+
+
+_TRIMMED_S5 = sorted({u.trim() for u in all_permutations(5)})
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(_TRIMMED_S5),
+        st.integers(-5, 5).filter(bool),
+        max_size=6,
+    )
+)
+def test_expand_in_schubert_inverts_integer_combinations(combo):
+    p = _recombined(combo)
+    assert expand_in_schubert(p) == combo
+    assert _recombined(expand_in_schubert(p)) == p
 
 
 def test_expand_in_schubert_guards_its_pivot(monkeypatch):

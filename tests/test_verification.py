@@ -89,6 +89,24 @@ def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
     )
 
 
+def test_independence_check_fails_on_one_wrong_s5_ll_reduce_coefficient(monkeypatch):
+    u, lam, k = Permutation((2, 4, 1, 5, 3)), (2, 1), 2
+    real = verification.ll_reduce_product
+    x, c = real(u, lam, k).items()[0]
+    zeta = str(x.w * u.inverse())
+
+    def broken(v, shape, j):
+        exp = real(v, shape, j)
+        return exp + Expansion(v.n, {x: 1}) if (v, shape, j) == (u, lam, k) else exp
+
+    monkeypatch.setattr(verification, "ll_reduce_product", broken)
+    result = verification.check_quantum_independence()
+    assert not result.ok
+    assert result.detail.endswith(
+        f"; first failure: (zeta, lam) = ({zeta!r}, {lam}): numerical parts differ"
+    )
+
+
 def test_peakless_worker_names_the_failing_case(monkeypatch):
     assert verification._peakless_worker((1, 2, 4, 3)) == (1, None)
     real = verification.peakless_count
