@@ -359,12 +359,15 @@ class Chain:
 
 
 def chains(u: Permutation, w: Permutation, k: int) -> Iterator[Chain]:
-    """All saturated chains of [u, w]_k, in label-lexicographic order."""
-    poset = interval(u, w, k)
-    yield from poset_chains(poset)
+    """All saturated chains of [u, w]_k, in ``poset_chains`` order; the
+    interval is built, and bad arguments refused, at the call."""
+    return poset_chains(interval(u, w, k))
 
 
 def poset_chains(poset: LabeledPoset) -> Iterator[Chain]:
+    """All saturated chains from bottom to top, depth first, taking each
+    element's covers by (label, str(cover)): not label-sorted, since
+    [1243, 3412]_2 yields (2, 3, 1) via 1342 before (2, 1, 2) via 1423."""
     adj: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
     for x, lab, y in poset.edges:
         adj.setdefault(x, []).append((lab, y))

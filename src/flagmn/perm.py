@@ -55,7 +55,7 @@ class Permutation:
     '3217465'
     """
 
-    __slots__ = ("word", "_hash", "_length", "_inverse_word")
+    __slots__ = ("word", "_hash")
 
     def __init__(self, word: Iterable[int]):
         word = tuple(word)
@@ -64,15 +64,12 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {word!r}")
         self.word = word
         self._hash = hash(word)
-        self._length: int | None = None
-        self._inverse_word: tuple[int, ...] | None = None
 
     @classmethod
     def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
         """Wrap a tuple already known to be a permutation, without the check."""
         self = object.__new__(cls)
         self.word, self._hash = word, hash(word)
-        self._length = self._inverse_word = None
         return self
 
     # -- basic protocol ----------------------------------------------------
@@ -118,19 +115,15 @@ class Permutation:
         return Permutation._trusted(tuple(w[v - 1] for v in other.word))
 
     def inverse(self) -> "Permutation":
-        return Permutation._trusted(self._inv_word())
-
-    def _inv_word(self) -> tuple[int, ...]:
-        if self._inverse_word is None:
-            inv = [0] * self.n
-            for i, v in enumerate(self.word):
-                inv[v - 1] = i + 1
-            self._inverse_word = tuple(inv)
-        return self._inverse_word
+        inv = [0] * self.n
+        for i, v in enumerate(self.word):
+            inv[v - 1] = i + 1
+        return Permutation._trusted(tuple(inv))
 
     def position(self, value: int) -> int:
         """The position holding ``value``: u(position(v)) = v."""
-        return self._inv_word()[_index(value, self.n, "value")]
+        _index(value, self.n, "value")
+        return self.word.index(value) + 1
 
     def swap_positions(self, i: int, j: int) -> "Permutation":
         i, j = _index(i, self.n, "position"), _index(j, self.n, "position")
@@ -146,15 +139,10 @@ class Permutation:
     @property
     def length(self) -> int:
         """Number of inversions #{i < j : u(i) > u(j)}."""
-        if self._length is None:
-            w = self.word
-            self._length = sum(
-                1
-                for i in range(len(w))
-                for j in range(i + 1, len(w))
-                if w[i] > w[j]
-            )
-        return self._length
+        w = self.word
+        return sum(
+            1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
+        )
 
     def has_descent(self, i: int) -> bool:
         """True when u(i) > u(i+1), for 1 <= i <= n-1."""

@@ -165,8 +165,9 @@ def q_leq(u: Permutation, t: QElement, k: int) -> bool:
 
 
 def q_chains(u: Permutation, t: QElement, k: int) -> Iterator[Chain]:
-    """All saturated chains of [u, t]_k^q."""
-    yield from poset_chains(q_interval(u, t, k))
+    """All saturated chains of [u, t]_k^q, in ``poset_chains`` order; the
+    interval is built, and bad arguments refused, at the call."""
+    return poset_chains(q_interval(u, t, k))
 
 
 def is_minimal_interval(u: Permutation, t: QElement, k: int) -> bool:

@@ -20,11 +20,11 @@ second difference of alpha is 1 (2 when i = k); swapping positions i, i+1
 in both u and w and stripping e_i from alpha preserves the coefficient
 exactly, so the classical coefficient reached at alpha = 0 is the answer.
 When no wall qualifies the coefficient is zero.  ``ll_reduce_product`` runs
-that reduction, on one-line words, on every candidate term of a whole
-product.  It walks the quantum covers only to list those candidates, and
-multiplies each classical base it lands on with the classical x_m operator,
-through a bounded memo shared across calls, since many u reduce to the same
-base.
+that reduction on every candidate term of a whole product, and walks the
+quantum covers only to list those candidates.  Both take each coefficient
+from one function on one-line words, which multiplies the classical base it
+lands on with the classical x_m operator through a bounded memo shared
+across calls, since many u reduce to the same base.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
@@ -68,7 +68,6 @@ from .schubert import (
     _powersum_coefficient,
     _schur_monomials,
     _trim,
-    schur_multiply,
     schur_poly,
 )
 
@@ -165,17 +164,6 @@ def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):
     return None
 
 
-def _reduced(u: tuple, w: tuple, alpha: tuple, k: int) -> tuple | None:
-    """The words (u', w') the exchange reaches at alpha = 0, or None when a
-    step fails with alpha still nonzero and so certifies a zero."""
-    while any(alpha):
-        step = _exchange(u, w, alpha, k)
-        if step is None:
-            return None
-        u, w, alpha = step[1]
-    return u, w
-
-
 def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
     """One descent exchange (see ``_exchange``) as (i, reduced query), or
     None when the coefficient is zero."""
@@ -192,14 +180,12 @@ def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
 def quantum_lr(query: QLRQuery) -> int:
     """The numerical part N^{w,alpha}_{u,v(lam,k)} of a quantum LR coefficient.
 
-    Reduces to a classical coefficient wall by wall; a failed reduction with
+    Reduces to a classical coefficient wall by wall through ``_coefficient``,
+    which ``ll_reduce_product`` shares with its memo; a failed reduction with
     alpha still nonzero certifies that the coefficient vanishes.
     """
-    words = _reduced(query.u.word, query.w.word, query.alpha, query.k)
-    if words is None:
-        return 0
-    u, w = map(Permutation._trusted, words)
-    return schur_multiply(u, query.lam, query.k).coefficient(w)
+    monomials = _schur_monomials(query.lam, query.k)
+    return _coefficient(query.u.word, query.w.word, query.alpha, query.k, monomials)
 
 
 @lru_cache(maxsize=4096)
@@ -207,11 +193,23 @@ def _classical_terms(base: tuple[int, ...], monomials: tuple) -> dict:
     """The nonzero {w: c} of S_base times the classical monomials, by the
     Monk x_m operator.
 
-    The memo is shared by every ``ll_reduce_product`` call, so callers read
-    the dict and never mutate it.
+    The memo is shared by every ``_coefficient`` call, so callers read the
+    dict and never mutate it.
     """
     terms = _operator_terms(base, monomials, False)
     return {w: c for (_alpha, w), c in terms.items() if c}
+
+
+def _coefficient(u: tuple, w: tuple, alpha: tuple, k: int, monomials: tuple) -> int:
+    """The coefficient of q^alpha S_w in S_u * s^q_lam, s_lam given by its
+    classical monomials: the exchange runs to alpha = 0, where the memo holds
+    the answer, or fails with alpha nonzero and so certifies a zero."""
+    while any(alpha):
+        step = _exchange(u, w, alpha, k)
+        if step is None:
+            return 0
+        u, w, alpha = step[1]
+    return _classical_terms(u, monomials).get(w, 0)
 
 
 def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
@@ -234,13 +232,10 @@ def ll_reduce_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion
             for i, l, lifted in _covers(alpha, word, k, True)
         }
     monomials = _schur_monomials(lam, k)
-    terms = {}
-    for alpha, word in frontier:
-        words = _reduced(u.word, word, alpha, k)
-        if words is None:
-            continue
-        base, w = words
-        terms[alpha, word] = _classical_terms(base, monomials).get(w, 0)
+    terms = {
+        (alpha, word): _coefficient(u.word, word, alpha, k, monomials)
+        for alpha, word in frontier
+    }
     return _expansion(n, terms)
 
 
@@ -384,14 +379,8 @@ def quantum_elementary(i: int, j: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def _elementary_poly(i: int, j: int) -> Poly:
-    """e_i(x_1, ..., x_j) as a classical polynomial."""
-    out: dict[tuple[int, ...], int] = {}
-    for subset in itertools.combinations(range(j), i):
-        e = [0] * j
-        for m in subset:
-            e[m] = 1
-        out[tuple(e)] = 1
-    return Poly(out)
+    """e_i(x_1, ..., x_j), the Schur polynomial of the column (1^i)."""
+    return schur_poly((1,) * i, j)
 
 
 # The largest n the change of basis reaches.  Building and inverting its degree

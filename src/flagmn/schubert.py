@@ -289,6 +289,7 @@ class Expansion:
     def coefficient(self, x: QElement | Permutation) -> int:
         if isinstance(x, Permutation):
             x = QElement((0,) * (x.n - 1), x)
+        _check_size(self.n, x.w.n)
         return self.terms.get(x, 0)
 
     def classical_terms(self) -> dict[Permutation, int]:
@@ -354,6 +355,7 @@ def _expansion(n: int, terms: dict) -> Expansion:
         [
             (QElement._trusted(alpha, Permutation._trusted(word)), c)
             for (alpha, word), c in terms.items()
+            if c
         ],
     )
 

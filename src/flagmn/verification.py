@@ -623,11 +623,12 @@ def _independence_worker(args: tuple[int, tuple[int, ...]]) -> list:
     # the hook rule reads each coefficient off zeta alone, so it could never
     # split a class: the S_5 hooks run through ll-reduce instead
     multiply = ll_reduce_product if hooks_only else q_schur_multiply
+    u_inv = u.inverse()
     rows = []
     for k in range(1, n):
         for lam in _independence_shapes(n, k, hooks_only):
             for z, c in multiply(u, lam, k).items():
-                rows.append((str(z.w * u.inverse()), lam, c))
+                rows.append((str(z.w * u_inv), lam, c))
     return rows
 
 

@@ -221,6 +221,17 @@ def test_interval_chains_and_peakless():
     )
 
 
+def test_chains_come_depth_first_by_label_then_element():
+    # both first steps of [1243, 3412]_2 are labelled 2; the one to 1342 is
+    # walked out first, so the labels do not come sorted
+    u, w = parse_permutation("1243"), parse_permutation("3412")
+    got = [(c.labels, tuple(map(str, c.elements))) for c in chains(u, w, 2)]
+    assert got == [
+        ((2, 3, 1), ("1243", "1342", "1432", "3412")),
+        ((2, 1, 2), ("1243", "1423", "2413", "3412")),
+    ]
+
+
 def test_peakless_height():
     assert peakless_height((6, 3, 1, 3)) == 3
     assert peakless_height((1, 2, 3)) == 1

@@ -283,12 +283,12 @@ U4 = Permutation((1, 4, 3, 2))
 TOP4 = fm.QElement((0, 0, 0), U4)  # u is its own top: the empty interval
 K_RULE = {
     "interval": lambda k: fm.interval(U4, U4, k),
-    "chains": lambda k: list(fm.chains(U4, U4, k)),
+    "chains": lambda k: fm.chains(U4, U4, k),
     "leq_k": lambda k: fm.leq_k(U4, U4, k),
     "up_covers": lambda k: up_covers(U4, k),
     "q_up_covers": lambda k: q_up_covers(TOP4, k),
     "q_interval": lambda k: fm.q_interval(U4, TOP4, k),
-    "q_chains": lambda k: list(fm.q_chains(U4, TOP4, k)),
+    "q_chains": lambda k: fm.q_chains(U4, TOP4, k),
     "q_leq": lambda k: q_leq(U4, TOP4, k),
     "act": lambda k: fm.act(fm.OperatorWord(4, ((1, 2),)), U4, k),
     "monk_multiply": lambda k: fm.monk_multiply(U4, k),
@@ -396,6 +396,7 @@ SIZE_RULE = {
     "QLRQuery": lambda: fm.QLRQuery(U4, U3, (0, 0, 0), (1,), 1),
     "o_shift_monomial": lambda: o_shift_monomial(U4, U3),
     "Expansion.__add__": lambda: fm.Expansion.unit(U4) + fm.Expansion.unit(U3),
+    "Expansion.coefficient": lambda: fm.q_monk_multiply(U4, 2).coefficient(U3),
     "act": lambda: fm.act(fm.OperatorWord(4, ((1, 2),)), U3, 1),
     "equivalent_words": lambda: equivalent_words(
         fm.OperatorWord(4, ((1, 2),)), fm.OperatorWord(3, ((1, 2),))

@@ -23,11 +23,11 @@ from flagmn.qschubert import (
     FGP_REFUSED_BLOCK,
     QLRQuery,
     QPoly,
+    _classical_terms,
+    _coefficient,
     _elementary_poly,
     _exchange,
     _invert_unimodular,
-    _reduced,
-    _classical_terms,
     _standard_solver,
     fgp_product,
     ll_reduce_product,
@@ -370,6 +370,23 @@ def test_quantize_splits_mixed_degrees():
     )
 
 
+def _subset_elementary(i, j):
+    """e_i(x_1..x_j) as the sum of x_S over the i-subsets S of 1..j."""
+    out = {}
+    for subset in itertools.combinations(range(j), i):
+        e = [0] * j
+        for m in subset:
+            e[m] = 1
+        out[tuple(e)] = 1
+    return Poly(out)
+
+
+def test_elementary_poly_is_the_subset_sum():
+    for j in range(8):
+        for i in range(j + 1):
+            assert _elementary_poly(i, j) == _subset_elementary(i, j), (i, j)
+
+
 def _full_fraction_inverse(n):
     """The whole n! x n! change of basis inverted over QQ, ignoring degrees.
 
@@ -388,7 +405,7 @@ def _full_fraction_inverse(n):
         p = Poly.one()
         for j, i_j in enumerate(tup, start=1):
             if i_j:
-                p = p * _elementary_poly(i_j, j)
+                p = p * _subset_elementary(i_j, j)
         col = [0] * dim
         for xe, c in p.terms.items():
             col[index[xe]] = c
@@ -619,24 +636,30 @@ def test_quantum_lr_matches_fgp_on_every_s3_query():
 def test_word_exchange_is_the_object_exchange_on_every_s3_query():
     # the exchange runs on one-line words; sg, varpi and swap_positions on
     # Permutation objects state the same rule at the smallest wall
-    for q in _s3_queries():
+    queries = list(_s3_queries())
+    for q in queries:
         walls = exchange_walls(q.u, q.w, q.alpha, q.k)
         step = ll_reduce_step(q)
-        if not walls:
+        if walls:
+            i = walls[0]
+            u, w = q.u.swap_positions(i, i + 1), q.w.swap_positions(i, i + 1)
+            alpha = q.alpha[: i - 1] + (q.alpha[i - 1] - 1,) + q.alpha[i:]
+            assert step == (i, QLRQuery(u, w, alpha, q.lam, q.k))
+        else:
             assert step is None
             assert _exchange(q.u.word, q.w.word, q.alpha, q.k) is None
-            continue
-        i = walls[0]
-        u, w = q.u.swap_positions(i, i + 1), q.w.swap_positions(i, i + 1)
-        alpha = q.alpha[: i - 1] + (q.alpha[i - 1] - 1,) + q.alpha[i:]
-        assert step == (i, QLRQuery(u, w, alpha, q.lam, q.k))
-        # the walk to alpha = 0 lands where repeated steps land
+        # the coefficient function reads the classical coefficient where
+        # repeated steps land at alpha = 0, and 0 where a step fails
         end = q
         while end is not None and any(end.alpha):
             step = ll_reduce_step(end)
             end = None if step is None else step[1]
-        want = None if end is None else (end.u.word, end.w.word)
-        assert _reduced(q.u.word, q.w.word, q.alpha, q.k) == want
+        want = 0
+        if end is not None:
+            want = schur_multiply(end.u, q.lam, q.k).coefficient(end.w)
+        monomials = _schur_monomials(q.lam, q.k)
+        assert _coefficient(q.u.word, q.w.word, q.alpha, q.k, monomials) == want
+    assert len(queries) == 1152
 
 
 def _rectangle_shapes(k, n):

@@ -37,6 +37,86 @@ def test_unused_import_is_caught():
     assert _unused_imports(tree) == ["os"]
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private functions, classes and constants a module defines at top
+    level (dunder names aside)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                t.id
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name)
+            ]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _read_names(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The names a module reads, imports or takes off a package module; a
+    top-level definition reading its own name (recursion) does not count."""
+    read = set()
+    for stmt in tree.body:
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    here.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                here.update(a.name for a in node.names)
+        here.discard(getattr(stmt, "name", None))
+        read |= here
+    return read
+
+
+def _unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name for each private top-level name no module of the package
+    reads (matched by name)."""
+    read = set().union(*(_read_names(t, set(trees)) for t in trees.values()))
+    return [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_no_unused_private_name():
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")
+    }
+    assert _unused_private_names(trees) == []
+
+
+def test_unused_private_name_is_caught():
+    trees = {
+        "a": ast.parse(
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1)\n"
+            "class _Spare:\n"
+            "    pass\n"
+            "def _via_module():\n"
+            "    pass\n"
+            "def _via_import():\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        "b": ast.parse(
+            "from . import a\n"
+            "from .a import _via_import as f\n"
+            "print(_USED, a._via_module(), f())\n"
+        ),
+    }
+    assert _unused_private_names(trees) == ["a._UNUSED", "a._loop", "a._Spare"]
+
+
 # each module builds only on the modules before it
 LAYERS = (
     "perm",
