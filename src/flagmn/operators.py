@@ -4,14 +4,16 @@ A letter v(a,b), a != b, sends u to the cover (a,b)u of u in the quantum
 k-Bruhat order when that cover exists and to zero otherwise; quantum letters
 (a > b) pick up the monomial q_{i,j} of the positions swapped.  Words compose
 letters, and everything downstream of the action -- zero-equivalence, the
-two-letter relation table, the path/row/column/tree/forest taxonomy, and the
-row-times-column decomposition -- is decided semantically, by exhaustive
+two-letter relation catalogue, the path/row/column/tree/forest taxonomy, and
+the row-times-column decomposition -- is decided semantically, by exhaustive
 search over the symmetric group the size of the word's support, pruned on
 one-line prefixes that no completion can make act.  One kernel, ``_act_word``,
 states the letter-cover test: on a whole one-line word it gives the action,
 and on a shorter prefix None means that no completion acts.  The relations
-the letters satisfy are verified, never used as a rewriting system.  The
-relabelings here are the two the row/column taxonomy uses, the cyclic shift
+the letters satisfy are verified, never used as a rewriting system: the
+catalogue is one rule that sorts every two-letter word into its clause, and
+the hand-written lists of the catalogue live in the tests as its reference.
+The relabelings here are the two the row/column taxonomy uses, the cyclic shift
 and the reversal of the order of application; the taxonomy itself runs on
 plain letter tuples.  ``chain_word`` reads a word off a saturated chain.
 """
@@ -520,136 +522,99 @@ def classify(word: OperatorWord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the two-letter relation table
+# the two-letter relation catalogue
+
+# clause -> (number of words, behaviour), in report order
+_CLAUSES = {
+    "crossing_pairs": (8, "zero"),
+    "mixed_nested_pairs": (4, "zero"),
+    "disjoint_free_pairs": (12, "commute"),
+    "zero_chain_triples": (6, "zero"),
+    "shared_endpoint_pairs": (12, "zero"),
+    "live_chain_triples": (6, "distinct"),
+    "squares": (2, "zero"),
+    "near_inverse_pairs": (2, "q_1"),
+}
+
+# the letters of the cycle 1 -> 2 -> 3 -> 1
+_CYCLE = {(1, 2), (2, 3), (3, 1)}
+
+
+def _clause(l1: tuple[int, int], l2: tuple[int, int]) -> str:
+    """The clause of the word v(l1) v(l2), whose letters cover exactly 1..m.
+
+    Disjoint letters (m = 4) are crossing, mixed nested -- a quantum letter
+    strictly inside a classical one, or two quantum letters side by side --
+    or free; letters sharing one index (m = 3) are a live chain when both
+    run along the cycle 1 -> 2 -> 3 -> 1, a zero chain when both run against
+    it and a shared endpoint otherwise; on m = 2 a word is a square or a
+    near-inverse pair.
+    """
+    m = len(set(l1) | set(l2))
+    if m == 4:
+        if crossing(l1, l2):
+            return "crossing_pairs"
+        for (a, b), (c, d) in ((l1, l2), (l2, l1)):
+            if a < d < c < b or a > b > c > d:
+                return "mixed_nested_pairs"
+        return "disjoint_free_pairs"
+    if m == 3:
+        chains = ("zero_chain_triples", "shared_endpoint_pairs", "live_chain_triples")
+        return chains[(l1 in _CYCLE) + (l2 in _CYCLE)]
+    return "squares" if l1 == l2 else "near_inverse_pairs"
+
+
+def _misbehaving(behaviour: str, words: list[OperatorWord]) -> list[str]:
+    """The words (or pairs) of a clause that break its behaviour, as text."""
+    if behaviour == "zero":
+        return [str(w) for w in words if not is_zero_word(w)]
+    if behaviour == "q_1":
+        # v(a,b) v(b,a) multiplies u by q_1 exactly when (u(1), u(2)) is the
+        # first-applied letter (b, a): one quantum and one classical step
+        # across wall 1 cancel into a bare q_1
+        return [
+            str(w)
+            for w in words
+            for u in all_permutations(2)
+            if act(w, u, 1)
+            != (QElement((1,), u) if u.word == w.letters[-1] else None)
+        ]
+    bad = [str(w) for w in words if is_zero_word(w)]
+    if behaviour == "commute":
+        return bad + [str(w) for w in words if not equivalent_words(w, rho_word(w))]
+    pairs = itertools.combinations(words, 2)
+    return bad + [f"{v} ~ {w}" for v, w in pairs if equivalent_words(v, w)]
 
 
 def relation_table() -> dict[str, dict[str, object]]:
     """Brute-force verification of the catalogue of two-letter relations.
 
-    Disjoint supports are flattened into S_4, shared-index pairs into S_3 and
-    repeated supports into S_2.  Each entry reports the number of words it
-    covers and whether the expected behaviour (zero, nonzero, commuting,
-    pairwise inequivalent) held.
+    The catalogue is one rule, ``_clause``, over every two-letter word whose
+    letters cover exactly 1..m: disjoint supports on S_4, one shared index
+    on S_3 and a repeated support on S_2, 52 words in all, each enumerated
+    once; the hand-written lists of the catalogue are its test reference.
+    Each entry reports the number of words in its clause and whether that
+    number and the clause's behaviour (zero, commuting, nonzero and pairwise
+    inequivalent, or acting as q_1) held; a failing entry also names its
+    first offending word under ``failure``.
     """
+    words: dict[str, list[OperatorWord]] = {name: [] for name in _CLAUSES}
+    for m in (4, 3, 2):
+        letters = list(itertools.permutations(range(1, m + 1), 2))
+        for l1, l2 in itertools.product(letters, repeat=2):
+            if len(set(l1) | set(l2)) == m:
+                words[_clause(l1, l2)].append(OperatorWord(m, (l1, l2)))
     report: dict[str, dict[str, object]] = {}
-
-    # -- disjoint supports ---------------------------------------------------
-    disjoint: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for half in itertools.combinations(range(1, 5), 2):
-        other = tuple(sorted(set(range(1, 5)) - set(half)))
-        if half > other:
-            continue
-        for l1 in (half, half[::-1]):
-            for l2 in (other, other[::-1]):
-                disjoint.append((l1, l2))
-                disjoint.append((l2, l1))
-
-    def nested_mixed(l1: tuple[int, int], l2: tuple[int, int]) -> bool:
-        # v(a,b) v(c,d) with a<d<c<b (quantum strictly inside classical) or
-        # a>b>c>d (two quantum letters side by side), in either role
-        for (a, b), (c, d) in ((l1, l2), (l2, l1)):
-            if a < d < c < b or a > b > c > d:
-                return True
-        return False
-
-    cross = [p for p in disjoint if crossing(set(p[0]), set(p[1]))]
-    nested = [
-        p
-        for p in disjoint
-        if p not in cross and nested_mixed(*p)
-    ]
-    free = [p for p in disjoint if p not in cross and p not in nested]
-
-    report["crossing_pairs"] = {
-        "words": len(cross),
-        "ok": len(cross) == 8
-        and all(is_zero_word(OperatorWord(4, p)) for p in cross),
-    }
-    report["mixed_nested_pairs"] = {
-        "words": len(nested),
-        "ok": len(nested) == 4
-        and all(is_zero_word(OperatorWord(4, p)) for p in nested),
-    }
-    report["disjoint_free_pairs"] = {
-        "words": len(free),
-        "ok": len(free) == 12
-        and all(
-            not is_zero_word(OperatorWord(4, p))
-            and equivalent_words(OperatorWord(4, p), OperatorWord(4, p[::-1]))
-            for p in free
-        ),
-    }
-
-    # -- one shared index ----------------------------------------------------
-    letters3 = list(itertools.permutations(range(1, 4), 2))
-    shared = [
-        (l1, l2)
-        for l1 in letters3
-        for l2 in letters3
-        if l1 != l2 and len(set(l1) & set(l2)) == 1
-    ]
-    zero_chains = {
-        ((2, 1), (1, 3)),
-        ((3, 2), (2, 1)),
-        ((1, 3), (3, 2)),
-        ((1, 3), (2, 1)),
-        ((2, 1), (3, 2)),
-        ((3, 2), (1, 3)),
-    }
-    live_chains = {
-        ((1, 2), (2, 3)),
-        ((2, 3), (3, 1)),
-        ((3, 1), (1, 2)),
-        ((2, 3), (1, 2)),
-        ((3, 1), (2, 3)),
-        ((1, 2), (3, 1)),
-    }
-    endpoint = [
-        (l1, l2) for l1, l2 in shared if l1[0] == l2[0] or l1[1] == l2[1]
-    ]
-    partition_ok = (
-        len(shared) == 24
-        and len(endpoint) == 12
-        and set(endpoint).isdisjoint(zero_chains | live_chains)
-        and set(shared) == set(endpoint) | zero_chains | live_chains
-    )
-    report["zero_chain_triples"] = {
-        "words": len(zero_chains),
-        "ok": partition_ok
-        and all(is_zero_word(OperatorWord(3, p)) for p in zero_chains),
-    }
-    report["shared_endpoint_pairs"] = {
-        "words": len(endpoint),
-        "ok": all(is_zero_word(OperatorWord(3, p)) for p in endpoint),
-    }
-    live = [OperatorWord(3, p) for p in sorted(live_chains)]
-    report["live_chain_triples"] = {
-        "words": len(live),
-        "ok": all(not is_zero_word(w) for w in live)
-        and all(
-            not equivalent_words(v, w)
-            for v, w in itertools.combinations(live, 2)
-        ),
-    }
-
-    # -- repeated support ----------------------------------------------------
-    report["squares"] = {
-        "words": 2,
-        "ok": all(
-            is_zero_word(OperatorWord(2, (l, l))) for l in ((1, 2), (2, 1))
-        ),
-    }
-    near_ok = True
-    for a, b in ((1, 2), (2, 1)):
-        w = OperatorWord(2, ((a, b), (b, a)))
-        # multiplication by q_k exactly when (u(k), u(k+1)) is the
-        # first-applied letter (b, a); both orientations force the pair
-        # adjacent across wall k, so one quantum and one classical step
-        # cancel into a bare q_k
-        for u in all_permutations(2):
-            want = QElement((1,), u) if (u(1), u(2)) == (b, a) else None
-            near_ok = near_ok and act(w, u, 1) == want
-    report["near_inverse_pairs"] = {"words": 2, "ok": near_ok}
+    for name, (count, behaviour) in _CLAUSES.items():
+        got = len(words[name])
+        bad = (
+            _misbehaving(behaviour, words[name])
+            if got == count
+            else [f"{got} words, expected {count}"]
+        )
+        report[name] = {"words": got, "ok": not bad}
+        if bad:
+            report[name]["failure"] = bad[0]
     return report
 
 

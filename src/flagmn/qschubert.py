@@ -136,13 +136,6 @@ class QLRQuery:
         object.__setattr__(self, "alpha", QElement(self.alpha, self.w).alpha)
         object.__setattr__(self, "lam", _check_shape(self.lam, self.k, n))
 
-    @classmethod
-    def _trusted(cls, u, w, alpha, lam, k) -> "QLRQuery":
-        """A query from parts already known to fit together, without the checks."""
-        self = object.__new__(cls)
-        self.__dict__.update(u=u, w=w, alpha=alpha, lam=lam, k=k)
-        return self
-
 
 def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):
     """The descent exchange on one-line words, stated once.
@@ -174,7 +167,7 @@ def ll_reduce_step(query: QLRQuery) -> tuple[int, QLRQuery] | None:
         return None
     i, (u, w, alpha) = step
     u, w = map(Permutation._trusted, (u, w))
-    return i, QLRQuery._trusted(u, w, alpha, query.lam, query.k)
+    return i, QLRQuery(u, w, alpha, query.lam, query.k)
 
 
 def quantum_lr(query: QLRQuery) -> int:

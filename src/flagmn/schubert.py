@@ -273,8 +273,7 @@ class Expansion:
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for x, c in items:
-                if x.w.n != n:
-                    raise ValueError(f"term {x} not in S_{n}[q]")
+                _check_size(n, x.w.n)
                 if c:
                     acc[x] = acc.get(x, 0) + c
         self.terms = {x: c for x, c in acc.items() if c}

@@ -54,7 +54,14 @@ from .perm import (
     parse_permutation,
     partitions,
 )
-from .qbruhat import QElement, is_minimal_interval, q_ij, q_interval, q_up_covers
+from .qbruhat import (
+    QElement,
+    is_minimal_interval,
+    parse_qelement,
+    q_ij,
+    q_interval,
+    q_up_covers,
+)
 from .qschubert import (
     QLRQuery,
     fgp_product,
@@ -400,9 +407,9 @@ def check_peakless_binomials():
 @_check("degree-two-relations")
 def check_degree_two_relations():
     table = relation_table()
-    bad = [name for name, entry in table.items() if not entry["ok"]]
+    bad = [(name, e["failure"]) for name, e in table.items() if not e["ok"]]
     words = sum(entry["words"] for entry in table.values())
-    failure = f"relation clause {bad[0]}" if bad else None
+    failure = "relation clause {}: {}".format(*bad[0]) if bad else None
     return failure, f"{words} two-letter words across {len(table)} relation clauses"
 
 
@@ -667,17 +674,12 @@ def _poset_block(title: str, poset, *, minimal: bool | None = None) -> list[str]
 
 
 def figures_text() -> str:
-    P = parse_permutation
     lines: list[str] = []
+    for u, top, k in (("68235741", "68357421", 5), ("3217465", "6274135", 3)):
+        u, top = parse_permutation(u), parse_permutation(top)
+        lines += _poset_block(f"[{u}, {top}]_{k}", interval(u, top, k))
 
-    lines += _poset_block(
-        "[68235741, 68357421]_5", interval(P("68235741"), P("68357421"), 5)
-    )
-    lines += _poset_block(
-        "[3217465, 6274135]_3", interval(P("3217465"), P("6274135"), 3)
-    )
-
-    x0 = QElement((0, 0, 0), P("1432"))
+    x0 = parse_qelement("1432", 4)
     level1 = sorted({str(y) for _, y in q_up_covers(x0, 2)})
     level2 = sorted(
         {
@@ -689,28 +691,16 @@ def figures_text() -> str:
     lines.append("covers of 1432 at k=2: " + ", ".join(level1))
     lines.append("second level: " + ", ".join(level2))
 
-    for title, u_text, alpha, w_text, k in (
-        ("[53421, q^(1,2,2,1) 12354]_2", "53421", (1, 2, 2, 1), "12354", 2),
-        ("[41352, q^(0,0,1,1) 52134]_3", "41352", (0, 0, 1, 1), "52134", 3),
-        (
-            "[68231574, 78256134]_5",
-            "68231574",
-            (0,) * 7,
-            "78256134",
-            5,
-        ),
-        (
-            "[68235741, q^(0,0,0,0,1,1,1) 78251346]_5",
-            "68235741",
-            (0, 0, 0, 0, 1, 1, 1),
-            "78251346",
-            5,
-        ),
+    for u, top, k in (
+        ("53421", "q^(1,2,2,1) 12354", 2),
+        ("41352", "q^(0,0,1,1) 52134", 3),
+        ("68231574", "78256134", 5),
+        ("68235741", "q^(0,0,0,0,1,1,1) 78251346", 5),
     ):
-        u = P(u_text)
-        top = QElement(alpha, P(w_text))
+        u = parse_permutation(u)
+        top = parse_qelement(top, u.n)
         lines += _poset_block(
-            title,
+            f"[{u}, {top}]_{k}",
             q_interval(u, top, k),
             minimal=is_minimal_interval(u, top, k),
         )

@@ -391,9 +391,91 @@ def test_chain_zeroness_depends_on_orientation():
     assert not is_zero_word(W("v(2,3) v(1,2)", 3))
 
 
+# the two-letter catalogue as hand lists, the reference of operators._clause:
+# the chains on S_3 and the disjoint words on S_4 with the nested-mixed test
+ZERO_CHAINS = {
+    ((2, 1), (1, 3)),
+    ((3, 2), (2, 1)),
+    ((1, 3), (3, 2)),
+    ((1, 3), (2, 1)),
+    ((2, 1), (3, 2)),
+    ((3, 2), (1, 3)),
+}
+LIVE_CHAINS = {
+    ((1, 2), (2, 3)),
+    ((2, 3), (3, 1)),
+    ((3, 1), (1, 2)),
+    ((2, 3), (1, 2)),
+    ((3, 1), (2, 3)),
+    ((1, 2), (3, 1)),
+}
+
+
+def nested_mixed(l1, l2):
+    # v(a,b) v(c,d) with a<d<c<b (quantum strictly inside classical) or
+    # a>b>c>d (two quantum letters side by side), in either role
+    for (a, b), (c, d) in ((l1, l2), (l2, l1)):
+        if a < d < c < b or a > b > c > d:
+            return True
+    return False
+
+
+def reference_clauses():
+    clauses = {}
+    for half in itertools.combinations(range(1, 5), 2):
+        other = tuple(sorted(set(range(1, 5)) - set(half)))
+        if half > other:
+            continue
+        for l1 in (half, half[::-1]):
+            for l2 in (other, other[::-1]):
+                for p in ((l1, l2), (l2, l1)):
+                    if crossing(set(p[0]), set(p[1])):
+                        clauses[p] = "crossing_pairs"
+                    elif nested_mixed(*p):
+                        clauses[p] = "mixed_nested_pairs"
+                    else:
+                        clauses[p] = "disjoint_free_pairs"
+    letters3 = list(itertools.permutations(range(1, 4), 2))
+    for l1, l2 in itertools.product(letters3, repeat=2):
+        if l1 != l2 and len(set(l1) & set(l2)) == 1:
+            if (l1, l2) in ZERO_CHAINS:
+                clauses[l1, l2] = "zero_chain_triples"
+            elif (l1, l2) in LIVE_CHAINS:
+                clauses[l1, l2] = "live_chain_triples"
+            elif l1[0] == l2[0] or l1[1] == l2[1]:
+                clauses[l1, l2] = "shared_endpoint_pairs"
+    for letter in ((1, 2), (2, 1)):
+        clauses[letter, letter] = "squares"
+        clauses[letter, letter[::-1]] = "near_inverse_pairs"
+    return clauses
+
+
+def test_clause_rule_puts_every_two_letter_word_where_the_hand_lists_do():
+    reference = reference_clauses()
+    # every two-letter word of S_4, flattened, is one of the 52 listed words
+    letters = list(itertools.permutations(range(1, 5), 2))
+    flat = {
+        flatten_word(OperatorWord(4, word)).letters
+        for word in itertools.product(letters, repeat=2)
+    }
+    assert flat == set(reference) and len(reference) == 52
+    assert {word: operators._clause(*word) for word in reference} == reference
+
+
+def test_relation_table_names_the_first_offending_word(monkeypatch):
+    monkeypatch.setattr(operators, "equivalent_words", lambda v, w: True)
+    monkeypatch.setattr(operators, "act", lambda word, u, k: None)
+    table = relation_table()
+    failures = {name: e["failure"] for name, e in table.items() if not e["ok"]}
+    assert failures == {
+        "live_chain_triples": "v(1,2) v(2,3) ~ v(1,2) v(3,1)",
+        "near_inverse_pairs": "v(1,2) v(2,1)",
+    }
+
+
 def test_relation_table():
     table = relation_table()
-    assert all(entry["ok"] for entry in table.values())
+    assert all(entry["ok"] and "failure" not in entry for entry in table.values())
     assert {name: entry["words"] for name, entry in table.items()} == {
         "crossing_pairs": 8,
         "mixed_nested_pairs": 4,

@@ -395,6 +395,7 @@ SIZE_RULE = {
     "q_interval": lambda: fm.q_interval(U4, fm.QElement((0, 0), U3), 1),
     "QLRQuery": lambda: fm.QLRQuery(U4, U3, (0, 0, 0), (1,), 1),
     "o_shift_monomial": lambda: o_shift_monomial(U4, U3),
+    "Expansion.__init__": lambda: fm.Expansion(4, [(fm.QElement((0, 0), U3), 1)]),
     "Expansion.__add__": lambda: fm.Expansion.unit(U4) + fm.Expansion.unit(U3),
     "Expansion.coefficient": lambda: fm.q_monk_multiply(U4, 2).coefficient(U3),
     "act": lambda: fm.act(fm.OperatorWord(4, ((1, 2),)), U3, 1),

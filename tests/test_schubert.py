@@ -262,12 +262,6 @@ def test_expansion_algebra():
     assert e.text() == "+1 1432"
 
 
-def test_expansion_refuses_a_term_of_another_size():
-    x = QElement((0, 0), parse_permutation("213"))
-    with pytest.raises(ValueError, match=r"^term 213 not in S_4\[q\]$"):
-        Expansion(4, {x: 1})
-
-
 @pytest.mark.parametrize("m", [0, 5])
 def test_x_times_refuses_a_variable_out_of_range(m):
     unit = Expansion.unit(parse_permutation("1432"))

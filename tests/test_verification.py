@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import flagmn
-from flagmn import verification
+from flagmn import operators, verification
 from flagmn.operators import OperatorWord
 from flagmn.perm import Permutation
 from flagmn.qbruhat import QElement
@@ -104,6 +104,32 @@ def test_independence_check_fails_on_one_wrong_s5_ll_reduce_coefficient(monkeypa
     assert not result.ok
     assert result.detail.endswith(
         f"; first failure: (zeta, lam) = ({zeta!r}, {lam}): numerical parts differ"
+    )
+
+
+def test_relation_check_names_the_clause_and_the_word(monkeypatch):
+    live = OperatorWord(3, ((2, 3), (1, 2)))
+    real = operators.is_zero_word
+    monkeypatch.setattr(operators, "is_zero_word", lambda w: w == live or real(w))
+    result = verification.check_degree_two_relations()
+    assert not result.ok
+    assert result.detail.endswith(
+        "; first failure: relation clause live_chain_triples: v(2,3) v(1,2)"
+    )
+
+
+def test_relation_check_counts_the_words_of_every_clause(monkeypatch):
+    real = operators._clause
+
+    def merged(l1, l2):
+        name = real(l1, l2)
+        return "crossing_pairs" if name == "mixed_nested_pairs" else name
+
+    monkeypatch.setattr(operators, "_clause", merged)
+    result = verification.check_degree_two_relations()
+    assert not result.ok
+    assert result.detail.endswith(
+        "; first failure: relation clause crossing_pairs: 12 words, expected 8"
     )
 
 
