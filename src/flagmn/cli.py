@@ -20,7 +20,6 @@ Stdout is deterministic - rerunning a command emits identical bytes, and
 from __future__ import annotations
 
 import argparse
-import difflib
 import functools
 import json
 import sys
@@ -285,6 +284,7 @@ def cmd_reproduce(args) -> int:
     if text == expected:
         print("matches the bundled expectation", file=sys.stderr)
         return 0
+    import difflib
     diff = difflib.unified_diff(
         expected.splitlines(keepends=True),
         text.splitlines(keepends=True),

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .perm import (
@@ -216,7 +214,6 @@ def leq_k(u: Permutation, w: Permutation, k: int) -> bool:
 # -- labeled graded posets ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LabeledPoset:
     """A graded interval with labeled cover edges.
 
@@ -224,11 +221,21 @@ class LabeledPoset:
     (lower, label, upper) triples with rank(upper) = rank(lower) + 1.
     """
 
-    bottom: Hashable
-    top: Hashable
-    elements: tuple
-    edges: tuple
-    rank_of: dict
+    __slots__ = ("bottom", "top", "elements", "edges", "rank_of")
+
+    def __init__(self, bottom, top, elements: tuple, edges: tuple, rank_of: dict):
+        self.bottom, self.top, self.elements = bottom, top, elements
+        self.edges, self.rank_of = edges, rank_of
+
+    def _fields(self) -> tuple:
+        return (self.bottom, self.top, self.elements, self.edges, self.rank_of)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LabeledPoset) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        bottom, top, elements, edges, rank_of = self._fields()
+        return f"LabeledPoset({bottom=}, {top=}, {elements=}, {edges=}, {rank_of=})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -252,6 +259,7 @@ class LabeledPoset:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
         return json.dumps(
             {
                 "bottom": str(self.bottom),
@@ -347,12 +355,23 @@ def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
     )
 
 
-@dataclass(frozen=True)
 class Chain:
     """A saturated chain: elements[0] -> ... -> elements[-1], labels[i] on step i."""
 
-    elements: tuple
-    labels: tuple
+    __slots__ = ("elements", "labels")
+
+    def __init__(self, elements: tuple, labels: tuple):
+        self.elements, self.labels = elements, labels
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Chain) and self.elements == other.elements
+        return same and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.labels))
+
+    def __repr__(self) -> str:
+        return f"Chain(elements={self.elements!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
         return len(self.labels)

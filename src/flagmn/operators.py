@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +59,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OperatorWord:
     """A composition of left operators v(a,b) on S_n[q].
 
@@ -72,20 +70,27 @@ class OperatorWord:
     relabelings cannot desynchronize it.
     """
 
-    n: int
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        object.__setattr__(
-            self, "letters", tuple((a, b) for a, b in self.letters)
-        )
+    def __init__(self, n: int, letters: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        self.n, self.letters = n, tuple((a, b) for a, b in letters)
         for a, b in self.letters:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"letter ({a},{b}) outside 1..{self.n}")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"letter ({a},{b}) outside 1..{n}")
             if a == b:
                 raise ValueError(f"degenerate letter ({a},{a})")
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, OperatorWord) and self.n == other.n
+        return same and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.letters))
+
+    def __repr__(self) -> str:
+        return f"OperatorWord(n={self.n!r}, letters={self.letters!r})"
 
     @classmethod
     def from_application(

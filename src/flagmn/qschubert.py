@@ -37,7 +37,6 @@ on S_n[q] that carry an interval [u, q^alpha w]_k^q onto its three partners.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .kbruhat import _covers
@@ -117,24 +116,31 @@ def sg(u: Permutation, i: int) -> int:
     return 1 if u.has_descent(i) else 0
 
 
-@dataclass(frozen=True)
 class QLRQuery:
     """A coefficient query: which multiple of S_w does S_u * s^q_lam(x_1..x_k) contain?
 
     ``alpha`` is the exponent vector of the q-monomial attached to w.
     """
 
-    u: Permutation
-    w: Permutation
-    alpha: tuple[int, ...]
-    lam: tuple[int, ...]
-    k: int
+    __slots__ = ("u", "w", "alpha", "lam", "k")
 
-    def __post_init__(self):
-        n = self.u.n
-        _check_size(n, self.w.n)
-        object.__setattr__(self, "alpha", QElement(self.alpha, self.w).alpha)
-        object.__setattr__(self, "lam", _check_shape(self.lam, self.k, n))
+    def __init__(self, u: Permutation, w: Permutation, alpha, lam, k: int):
+        _check_size(u.n, w.n)
+        self.u, self.w, self.alpha = u, w, QElement(alpha, w).alpha
+        self.lam, self.k = _check_shape(lam, k, u.n), k
+
+    def _fields(self) -> tuple:
+        return (self.u, self.w, self.alpha, self.lam, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QLRQuery) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        u, w, alpha, lam, k = self._fields()
+        return f"QLRQuery({u=}, {w=}, {alpha=}, {lam=}, {k=})"
 
 
 def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):

@@ -17,9 +17,6 @@ import functools
 import itertools
 import random
 import time
-import traceback
-from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from .kbruhat import (
@@ -95,12 +92,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+    __slots__ = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
+
+    def _fields(self) -> tuple:
+        return (self.name, self.ok, self.detail, self.seconds)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CheckResult) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        name, ok, detail, seconds = self._fields()
+        return f"CheckResult({name=}, {ok=}, {detail=}, {seconds=})"
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {}
@@ -122,8 +131,8 @@ def _check(name: str):
             try:
                 failure, detail = fn()
             except Exception as e:
-                # a route that raises fails this check; the gate goes on
-                traceback.print_exc()
+                import traceback
+                traceback.print_exc()  # a raising route fails this check only
                 failure = f"raised {type(e).__name__}: {e}"
                 detail = "did not complete"
             if failure is not None:
@@ -163,6 +172,7 @@ def fixture_text(name: str) -> str:
         raise ValueError(
             f"unknown fixture {name!r}; choose from {sorted(REPRODUCIBLES)}"
         )
+    from importlib import resources
     fname = name.replace("-", "_") + ".txt"
     return (resources.files("flagmn") / "fixtures" / fname).read_text()
 

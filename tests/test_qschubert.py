@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagmn.kbruhat import Chain, LabeledPoset, interval, poset_chains
+from flagmn.operators import OperatorWord
 from flagmn.perm import (
     Permutation,
     all_permutations,
@@ -60,6 +62,7 @@ from flagmn.schubert import (
     schur_multiply,
     schur_poly,
 )
+from flagmn.verification import CheckResult
 from lemma_helpers import exchange_walls, largest_wall_lr
 
 
@@ -210,6 +213,32 @@ def test_repr_evaluates_back():
     names = {"Permutation": Permutation, "QElement": QElement, "Expansion": Expansion}
     for obj in (u, qe("q^(0,1,1) 1234", 4), exp, Expansion(4)):
         assert eval(repr(obj), names) == obj
+
+
+def test_record_classes_repr_eq_hash_and_keywords():
+    u, w = parse_permutation("1432"), parse_permutation("3412")
+    poset = interval(u, w, 2)
+    records = [
+        poset,
+        next(poset_chains(poset)),
+        OperatorWord(4, ((4, 1), (1, 2))),
+        QLRQuery(u, w, (0, 0, 0), (1,), 2),
+        CheckResult("monk", True, "4 cases", 0.25),
+    ]
+    classes = (Permutation, LabeledPoset, Chain, OperatorWord, QLRQuery, CheckResult)
+    names = {cls.__name__: cls for cls in classes}
+    for obj in records:
+        back = eval(repr(obj), names)
+        assert back == obj
+        fields = {f: getattr(obj, f) for f in type(obj).__slots__}
+        assert type(obj)(**fields) == obj
+        if isinstance(obj, LabeledPoset):
+            with pytest.raises(TypeError):
+                hash(obj)  # rank_of is a dict
+        else:
+            assert hash(back) == hash(obj)
+    assert records[2] != OperatorWord(4, ((1, 2), (4, 1)))
+    assert records[4] != CheckResult("monk", False, "4 cases", 0.25)
 
 
 def test_quantum_monk_is_linear_and_respects_q():

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +168,31 @@ def test_late_import_is_caught():
         "import os\n"
     )
     assert _package_imports(tree) == ["perm", "cli", "qbruhat", "schubert", "operators"]
+
+
+# stdlib modules ``import flagmn`` must not load: the package needs no
+# dataclasses, and json, traceback and difflib are imported where they run
+DEFERRED = {"dataclasses", "inspect", "json", "traceback", "difflib", "argparse"}
+
+
+def test_import_loads_no_deferred_module():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "bare = set(sys.modules)\n"
+        "import flagmn\n"
+        "package = set(sys.modules)\n"
+        "import flagmn.cli\n"
+        "print(sorted(package - bare))\n"
+        "print(sorted(set(sys.modules) - package))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    by_package, by_cli = (set(ast.literal_eval(line)) for line in out.splitlines())
+    assert "flagmn.verification" in by_package and "flagmn.cli" in by_cli
+    assert by_package & DEFERRED == set()
+    assert "difflib" not in by_cli
 
 
 def test_statement_coverage_counts_the_statements_never_run():

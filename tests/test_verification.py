@@ -5,7 +5,6 @@ directly, so it stays fast while showing that a FAIL line would name the
 case and the routes that disagreed.
 """
 
-import dataclasses
 import re
 import subprocess
 import sys
@@ -15,6 +14,7 @@ import pytest
 
 import flagmn
 from flagmn import operators, verification
+from flagmn.kbruhat import LabeledPoset
 from flagmn.operators import OperatorWord
 from flagmn.perm import Permutation
 from flagmn.qbruhat import QElement
@@ -202,11 +202,15 @@ def test_interval_worker_names_the_failing_transport(monkeypatch):
     "broken",
     [
         # the same elements one rank higher: the grading is not carried over
-        lambda p: dataclasses.replace(
-            p, rank_of={z: r + 1 for z, r in p.rank_of.items()}
+        lambda p: LabeledPoset(
+            p.bottom,
+            p.top,
+            p.elements,
+            p.edges,
+            {z: r + 1 for z, r in p.rank_of.items()},
         ),
         # the same graded elements with no covers: an edge is not carried over
-        lambda p: dataclasses.replace(p, edges=()),
+        lambda p: LabeledPoset(p.bottom, p.top, p.elements, (), p.rank_of),
     ],
     ids=["ranks", "edges"],
 )
