@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -56,6 +55,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _emit_expansion(exp: Expansion, fmt: str) -> None:
     if fmt == "json":
+        import json
         terms = [
             {"coeff": c, "q": list(x.alpha), "w": str(x.w)} for x, c in exp.items()
         ]
@@ -197,6 +197,7 @@ def cmd_interval(args) -> int:
 def cmd_chains(args) -> int:
     found = sorted(poset_chains(_poset(args)), key=lambda ch: ch.labels)
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {
@@ -238,6 +239,7 @@ def cmd_operators(args) -> int:
         result = act(word, u, args.k)
         action = "0" if result is None else str(result)
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {

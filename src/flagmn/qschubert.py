@@ -382,44 +382,12 @@ def _elementary_poly(i: int, j: int) -> Poly:
     return schur_poly((1,) * i, j)
 
 
-# The largest n the change of basis reaches.  Building and inverting its degree
-# blocks over ZZ takes about 0.003 s at n = 5, 0.07 s at n = 6 (blocks up to
-# 101 x 101) and 2.4 s at n = 7 (up to 573 x 573, 28 MB peak RSS for the whole
-# process), on 2 cores with Python 3.11; n = 8 has blocks of 3836 x 3836.
+# The largest n the change of basis reaches.  Building and peeling its products
+# takes about 0.005 s at n = 5, 0.06-0.1 s at n = 6 and 2-4 s at n = 7 (degree
+# blocks up to 573 products, 19 MB peak RSS for the whole process), on 2 cores
+# with Python 3.11; n = 8 has blocks of 3836 products.
 FGP_MAX_N = 7
 FGP_REFUSED_BLOCK = 3836  # the largest degree block of S_{FGP_MAX_N + 1}
-
-
-def _invert_unimodular(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Invert over ZZ, in place, the square matrix whose sparse rows map column
-    to entry.
-
-    Gauss-Jordan with a +-1 pivot in each column, taken from the sparsest
-    candidate row to keep the fill-in down; a column without one raises.  Row b
-    of the result maps m to the entry (b, m) of the inverse.
-    """
-    dim = len(rows)
-    for m, row in enumerate(rows):
-        row[dim + m] = 1
-    for col in range(dim):
-        units = (r for r in range(col, dim) if rows[r].get(col) in (1, -1))
-        piv = min(units, key=lambda r: len(rows[r]), default=None)
-        if piv is None:
-            raise RuntimeError("elementary-monomial basis is not unimodular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        if rows[col][col] == -1:
-            rows[col] = {b: -v for b, v in rows[col].items()}
-        pivot = rows[col]
-        for r, row in enumerate(rows):
-            f = row.get(col)
-            if f and r != col:
-                for b, v in pivot.items():
-                    w = row.get(b, 0) - f * v
-                    if w:
-                        row[b] = w
-                    else:
-                        del row[b]
-    return [{b - dim: v for b, v in row.items() if b >= dim} for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -428,52 +396,51 @@ def _standard_solver(n: int):
 
     Both the monomials x^a with a_j <= n - j and the products
     e_{i_1}(x_1) e_{i_2}(x_1,x_2) ... e_{i_{n-1}}(x_1..x_{n-1}) with
-    0 <= i_j <= j are homogeneous ZZ-bases of the same rank-n! lattice, so the
-    change of basis splits into one unimodular block per degree.  Returns
-    ``index``, mapping each staircase monomial to (its degree d, its row in
-    block d), and ``blocks``, where blocks[d] holds the degree-d tuples
-    (i_1, ..., i_{n-1}) and the integer inverse of block d.
+    0 <= i_j <= j are homogeneous ZZ-bases of the same rank-n! lattice.  In
+    each degree, repeatedly peel off a product holding a monomial, its pivot,
+    that no other product left holds; a degree that stalls raises.  Returns
+    ((i_1, ..., i_{n-1}), pivot, sign) in peel order, so no later product holds
+    an earlier pivot: the change of basis is triangular in that order, and
+    unimodular, so each pivot's coefficient, the sign, is +-1.
     """
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for tup in itertools.product(*(range(j + 1) for j in range(1, n))):
         by_degree.setdefault(sum(tup), []).append(tup)
-    index: dict[tuple[int, ...], tuple[int, int]] = {}
-    blocks = []
+    order = []
     for d, basis in sorted(by_degree.items()):
         # read backwards, the tuples of degree d are its staircase exponents
-        row = {_trim(tup[::-1]): m for m, tup in enumerate(basis)}
-        index.update((xe, (d, m)) for xe, m in row.items())
-        a: list[dict[int, int]] = [{} for _ in basis]
+        monomials = [_trim(tup[::-1]) for tup in basis]
+        index = {xe: m for m, xe in enumerate(monomials)}
+        # how many products left hold each monomial, and the xor of their
+        # numbers: once the count is 1, the xor is the one holder left
+        count = [0] * len(basis)
+        holder = [0] * len(basis)
+        products = []
         for b, tup in enumerate(basis):
             p = Poly.one()
             for j, i_j in enumerate(tup, start=1):
                 if i_j:
                     p = p * _elementary_poly(i_j, j)
-            for xe, c in p.terms.items():
-                a[row[xe]][b] = c
-        blocks.append((basis, _invert_unimodular(a)))
-    return index, blocks
-
-
-def _expand_in_standard_basis(p: Poly, n: int) -> dict[tuple[int, ...], int]:
-    index, blocks = _standard_solver(n)
-    by_degree: dict[int, dict[int, int]] = {}
-    for xe, c in p.terms.items():
-        if xe not in index:
-            raise ValueError(
-                f"monomial {xe} lies outside the span of elementary-monomial "
-                f"products for n={n} (degree too high in some variable)"
-            )
-        d, m = index[xe]
-        by_degree.setdefault(d, {})[m] = c
-    out: dict[tuple[int, ...], int] = {}
-    for d, vec in sorted(by_degree.items()):
-        basis, inverse = blocks[d]
-        for tup, row in zip(basis, inverse):
-            c = sum(row.get(m, 0) * v for m, v in vec.items())
-            if c:
-                out[tup] = c
-    return out
+            products.append({index[xe]: c for xe, c in p.terms.items()})
+            for m in products[b]:
+                count[m] += 1
+                holder[m] ^= b
+        # the products ready to peel, each with a monomial only it still holds
+        ready = {holder[m]: m for m, c in enumerate(count) if c == 1}
+        for _ in basis:
+            if not ready:
+                raise RuntimeError(
+                    f"the degree-{d} elementary-monomial products for n={n} "
+                    "do not peel into a triangular basis"
+                )
+            b, m = ready.popitem()
+            order.append((basis[b], monomials[m], products[b][m]))
+            for m2 in products[b]:
+                count[m2] -= 1
+                holder[m2] ^= b
+                if count[m2] == 1:
+                    ready.setdefault(holder[m2], m2)
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -487,8 +454,10 @@ def _quantum_basis_element(tup: tuple[int, ...]) -> QPoly:
 
 def quantize(p: Poly, n: int) -> QPoly:
     """The quantization of p: expand in elementary-monomial products and
-    replace each e_{i_j}(x_1..x_j) by E^j_{i_j}.
+    replace each e_{i_j}(x_1..x_j) by E^j_{i_j}, whose q-free part it is.
 
+    The expansion is one back-substitution in the solver's peel order, which
+    takes the q-free part of each quantized product off the remainder.
     Degree-one polynomials are fixed, and setting q = 0 returns p.  Raises
     ValueError for n > FGP_MAX_N, where the change of basis is out of reach.
     """
@@ -499,10 +468,27 @@ def quantize(p: Poly, n: int) -> QPoly:
             f"{FGP_REFUSED_BLOCK} x {FGP_REFUSED_BLOCK} or more; "
             "ll_reduce_product (--basis ll-reduce) has no such limit"
         )
-    out = QPoly()
-    for tup, c in _expand_in_standard_basis(p, n).items():
-        out = out + _quantum_basis_element(tup) * c
-    return out
+    rem = dict(p.terms)
+    out: dict[tuple, int] = {}
+    for tup, pivot, sign in _standard_solver(n):
+        c = rem.get(pivot, 0) * sign
+        if not c:
+            continue
+        for key, v in _quantum_basis_element(tup).terms.items():
+            out[key] = out.get(key, 0) + c * v
+            if not key[1]:
+                left = rem.get(key[0], 0) - c * v
+                if left:
+                    rem[key[0]] = left
+                else:
+                    del rem[key[0]]
+    if rem:
+        raise ValueError(
+            f"monomial {next(iter(rem))} lies outside the span of "
+            f"elementary-monomial products for n={n} (degree too high in some "
+            "variable)"
+        )
+    return QPoly._trusted(out)
 
 
 @lru_cache(maxsize=None)

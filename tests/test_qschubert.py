@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagmn import qschubert
 from flagmn.kbruhat import Chain, LabeledPoset, interval, poset_chains
 from flagmn.operators import OperatorWord
 from flagmn.perm import (
@@ -29,7 +30,7 @@ from flagmn.qschubert import (
     _coefficient,
     _elementary_poly,
     _exchange,
-    _invert_unimodular,
+    _quantum_basis_element,
     _standard_solver,
     fgp_product,
     ll_reduce_product,
@@ -386,7 +387,7 @@ def test_quantize_rejects_monomials_outside_staircase():
 
 def test_quantize_rejects_degrees_above_the_top_block():
     with pytest.raises(ValueError):
-        quantize(Poly({(4,): 1}), 3)  # degree 4 > n(n-1)/2 = 3: no block
+        quantize(Poly({(4,): 1}), 3)  # degree 4 > n(n-1)/2 = 3: no product
 
 
 def test_quantize_splits_mixed_degrees():
@@ -419,8 +420,9 @@ def test_elementary_poly_is_the_subset_sum():
 def _full_fraction_inverse(n):
     """The whole n! x n! change of basis inverted over QQ, ignoring degrees.
 
-    An independent reference for the degree blocks: maps (elementary-monomial
-    tuple, staircase monomial) to the entry of the inverse.
+    An independent reference for the back-substitution in ``quantize``: maps
+    (elementary-monomial tuple, staircase monomial) to the entry of the
+    inverse.
     """
     monos = sorted(
         _trim(e)
@@ -461,23 +463,46 @@ def _full_fraction_inverse(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_degree_blocks_match_the_full_inverse(n):
+def test_quantize_matches_the_full_inverse(n):
     full = _full_fraction_inverse(n)
-    index, blocks = _standard_solver(n)
-    seen = set()
-    for xe, (d, m) in index.items():
-        basis, inverse = blocks[d]
-        for tup, row in zip(basis, inverse):
-            assert row.get(m, 0) == full[tup, xe]
-            seen.add((tup, xe))
-    assert all(v == 0 for key, v in full.items() if key not in seen)
-    assert all(sum(tup) != sum(xe) for tup, xe in full.keys() - seen)
+    basis = {tup for tup, _ in full}
+    for xe in {xe for _, xe in full}:
+        want = QPoly()
+        for tup in basis:
+            c = full[tup, xe]
+            assert c.denominator == 1
+            want = want + _quantum_basis_element(tup) * int(c)
+        assert quantize(Poly({xe: 1}), n) == want, xe
 
 
-def test_inverse_needs_a_unit_pivot_in_every_column():
-    assert _invert_unimodular([{0: -1}]) == [{0: -1}]
-    with pytest.raises(RuntimeError, match="^elementary-monomial basis is not unimodular$"):
-        _invert_unimodular([{0: 2}])
+def test_the_peel_orders_the_s6_basis_triangularly():
+    order = _standard_solver(6)
+    assert len(order) == 720
+    assert len({tup for tup, _, _ in order}) == 720
+    assert len({pivot for _, pivot, _ in order}) == 720
+    earlier = set()
+    for tup, pivot, sign in order:
+        p = Poly.one()
+        for j, i_j in enumerate(tup, start=1):
+            p = p * _elementary_poly(i_j, j)
+        assert sign in (1, -1) and p.terms[pivot] == sign
+        assert earlier.isdisjoint(p.terms), tup
+        earlier.add(pivot)
+
+
+def test_a_peel_that_stalls_raises(monkeypatch):
+    # with e_i(x_1..x_j) replaced by x_1^i, both degree-1 products are x_1
+    monkeypatch.setattr(qschubert, "_elementary_poly", lambda i, j: Poly({(i,): 1}))
+    _standard_solver.cache_clear()
+    want = (
+        "the degree-1 elementary-monomial products for n=3 do not peel into a"
+        " triangular basis"
+    )
+    try:
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
+            _standard_solver(3)
+    finally:
+        _standard_solver.cache_clear()
 
 
 def test_quantum_schur_validates_shape():
@@ -495,7 +520,7 @@ def test_fgp_reproduces_quantum_monk_s4():
     assert fgp_product(u, (1,), 2) == q_monk_multiply(u, 2)
 
 
-def test_fgp_refuses_s8_before_building_the_change_of_basis():
+def test_fgp_refuses_s8_before_building_the_change_of_basis(monkeypatch):
     # the middle degree blocks at n = 8 are out of reach: the largest has one
     # row per code (c_1..c_7), 0 <= c_j <= j, of the middle degree
     steps = (range(j + 1) for j in range(1, 8))
@@ -506,6 +531,11 @@ def test_fgp_refuses_s8_before_building_the_change_of_basis():
         f" of a degree block of {block} x {block} or more; ll_reduce_product"
         " (--basis ll-reduce) has no such limit"
     )
+
+    def unbuilt(n):
+        raise AssertionError(f"the change of basis for n={n} was built")
+
+    monkeypatch.setattr(qschubert, "_standard_solver", unbuilt)
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fgp_product(identity(8), (1,), 1)
 
