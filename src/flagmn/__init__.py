@@ -40,7 +40,6 @@ from .schubert import (
     powersum_multiply,
     schur_multiply,
 )
-from .verification import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
@@ -84,3 +83,12 @@ __all__ = [
     "run_checks",
     "schur_multiply",
 ]
+
+
+def __getattr__(name: str):
+    # the release gate loads on first use, not with the package
+    if name in ("CheckResult", "run_checks"):
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,13 +16,13 @@ witness pair u <=_k zeta u.  Minimality and lrank depend only on the shape of
 zeta, and ``find_witness`` builds a witness from zeta's values, with no search.
 
 Both orders run on kernels kept here, on one-line (alpha, word) tuples:
-``_cover_swaps`` states the rule above, ``_quantum_swaps`` the quantum rule
-of ``qbruhat``, and ``_covers`` yields both kinds.  ``_x_covers`` yields
-the covers of both kinds through one position, the terms of x_m.  ``_walk``
-goes up from a bottom through ``_covers``, and its top picks the ring: below
-a classical top every quantum cover overshoots, so none is made.
-``interval`` here and ``q_interval`` and ``q_leq`` in ``qbruhat`` all read
-their answer off it, each passing ``_interval`` a builder for its elements.
+``_covers`` states the rule above and the quantum rule of ``qbruhat`` in
+one scan, and ``_x_covers`` lists the covers of both kinds through one
+position, the terms of x_m.  ``_walk`` goes up from a bottom through
+``_covers``, and its top picks the ring: below a classical top every quantum
+cover overshoots, so none is made.  ``interval`` here and ``q_interval`` and
+``q_leq`` in ``qbruhat`` all read their answer off it, each passing
+``_interval`` a builder for its elements.
 """
 
 from __future__ import annotations
@@ -60,74 +60,70 @@ __all__ = [
 ]
 
 
-def _cover_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
-    """The 0-based (i, l) of every k-Bruhat cover word -> word t_il.
+def _covers(alpha: tuple[int, ...], word: tuple[int, ...], k: int, quantum: bool):
+    """[(i, l, alpha')] for every cover q^alpha word -> q^alpha' word t_il.
 
-    The cover rule, stated once (see the module docstring).
+    Both cover rules, stated once, in one scan right of each i < k (see the
+    module docstrings here and in ``qbruhat``): a value above word[i] and
+    below every value above it seen so far makes a classical cover, and a
+    value below every value seen so far, before any value above word[i], a
+    quantum one.  Classical covers come first and keep alpha itself;
+    ``quantum`` switches the quantum covers on.
     """
     n = len(word)
+    classical, raised = [], []
     for i in range(k):
         a = word[i]
-        # smallest value above a seen strictly between the swap positions
-        bound = n + 1
-        for l in range(i + 1, n):
-            v = word[l]
-            if a < v < bound:
-                if l >= k:
-                    yield i, l
-                bound = v
-
-
-def _quantum_swaps(word: tuple[int, ...], k: int) -> Iterator[tuple[int, int]]:
-    """The 0-based (i, l) of every quantum k-cover word -> q_{i+1,l+1} word t_il.
-
-    The quantum cover rule, stated once (see the ``qbruhat`` docstring).
-    """
-    n = len(word)
-    for i in range(k):
-        a = word[i]
-        low = n + 1  # smallest value seen since position i
+        above = below = n + 1  # the smallest values above and below a so far
         for l in range(i + 1, n):
             v = word[l]
             if v > a:
-                break  # a value above word[i] blocks every further swap
-            if v < low:
+                if v < above:
+                    if l >= k:
+                        classical.append((i, l, alpha))
+                    above = v
+                below = 0  # a value above a blocks every further quantum swap
+            elif quantum and v < below:
                 if l >= k:
-                    yield i, l
-                low = v
+                    raised.append((i, l, _raised(alpha, i, l)))
+                below = v
+    return classical + raised
 
 
 def _x_covers(alpha: tuple[int, ...], word: tuple[int, ...], p: int, quantum: bool):
-    """(i, l, alpha', sign) for every cover q^alpha word -> q^alpha' word t_il
+    """[(i, l, alpha', sign)] for every cover q^alpha word -> q^alpha' word t_il
     moving the 0-based position p, with sign 1 when i = p and -1 when l = p.
 
     By the quantum Monk rule (Fomin-Gelfand-Postnikov) these are the terms of
     x_{p+1}: of Monk at k = p + 1 minus Monk at k = p only the swaps through
-    p survive.  The leftward scans mirror the rules of the two kernels above.
+    p survive.  The rightward scan is ``_covers``'s at i = p, and the
+    leftward scan mirrors it.
     """
     n, a = len(word), word[p]
+    out = []
     above = below = n + 1  # the smallest values above and below a seen so far
     for l in range(p + 1, n):
         v = word[l]
         if v > a:
             if v < above:
-                yield p, l, alpha, 1
+                out.append((p, l, alpha, 1))
                 above = v
             below = 0  # a value above a blocks every further quantum swap
         elif quantum and v < below:
-            yield p, l, _raised(alpha, p, l), 1
+            out.append((p, l, _raised(alpha, p, l), 1))
             below = v
     below = above = 0  # the largest values below and above a seen so far
     for i in range(p - 1, -1, -1):
         v = word[i]
         if v < a:
             if v > below:
-                yield i, p, alpha, -1
+                out.append((i, p, alpha, -1))
                 below = v
             above = n + 1  # a value below a blocks every further quantum swap
         elif quantum and v > above:
-            yield i, p, _raised(alpha, i, p), -1
+            out.append((i, p, _raised(alpha, i, p), -1))
             above = v
+    return out
 
 
 def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
@@ -135,19 +131,6 @@ def _raised(alpha: tuple[int, ...], i: int, l: int) -> tuple[int, ...]:
     out = list(alpha)
     out[i:l] = [a + 1 for a in alpha[i:l]]
     return tuple(out)
-
-
-def _covers(alpha: tuple[int, ...], word: tuple[int, ...], k: int, quantum: bool):
-    """(i, l, alpha') for every cover q^alpha word -> q^alpha' word t_il.
-
-    Classical covers come first and keep alpha itself; ``quantum`` switches
-    the quantum covers on.
-    """
-    for i, l in _cover_swaps(word, k):
-        yield i, l, alpha
-    if quantum:
-        for i, l in _quantum_swaps(word, k):
-            yield i, l, _raised(alpha, i, l)
 
 
 def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
@@ -162,7 +145,7 @@ def up_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
     _check_k(len(word), k)
     return [
         (word[i], Permutation._trusted(_swapped(word, i, l)))
-        for i, l in _cover_swaps(word, k)
+        for i, l, _alpha in _covers((), word, k, False)
     ]
 
 

@@ -28,9 +28,8 @@ from typing import Iterator
 from .kbruhat import (
     Chain,
     LabeledPoset,
+    _covers,
     _interval,
-    _quantum_swaps,
-    _raised,
     _walk,
     poset_chains,
     up_covers,
@@ -132,11 +131,12 @@ def q_up_covers(x: QElement, k: int) -> list[tuple[int, QElement]]:
     >>> [(lab, str(y)) for lab, y in q_up_covers(x, 2)]
     [(1, '3412'), (1, '2431'), (4, 'q^(0,1,0) 1342'), (4, 'q^(0,1,1) 1234')]
     """
-    out = [(lab, QElement._trusted(x.alpha, w)) for lab, w in up_covers(x.w, k)]
-    word = x.w.word
-    for i, l in _quantum_swaps(word, k):
-        w = Permutation._trusted(_swapped(word, i, l))
-        out.append((word[i], QElement._trusted(_raised(x.alpha, i, l), w)))
+    alpha, word = x.alpha, x.w.word
+    out = [(lab, QElement._trusted(alpha, w)) for lab, w in up_covers(x.w, k)]
+    for i, l, lifted in _covers(alpha, word, k, True):
+        if lifted is not alpha:  # a classical cover carries alpha itself
+            w = Permutation._trusted(_swapped(word, i, l))
+            out.append((word[i], QElement._trusted(lifted, w)))
     return out
 
 

@@ -464,9 +464,9 @@ def quantize(p: Poly, n: int) -> QPoly:
     if n > FGP_MAX_N:
         raise ValueError(
             f"the FGP quantization oracle stops at S_{FGP_MAX_N}: S_{n} needs "
-            "an exact inversion of a degree block of "
-            f"{FGP_REFUSED_BLOCK} x {FGP_REFUSED_BLOCK} or more; "
-            "ll_reduce_product (--basis ll-reduce) has no such limit"
+            f"a peel of degree blocks of {FGP_REFUSED_BLOCK} elementary-monomial "
+            "products or more; ll_reduce_product (--basis ll-reduce) has no such "
+            "limit"
         )
     rem = dict(p.terms)
     out: dict[tuple, int] = {}

@@ -36,7 +36,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable
 
-from .kbruhat import _cover_swaps, _covers, _peakless_binomial, _x_covers, up_covers
+from .kbruhat import _covers, _peakless_binomial, _x_covers
 from .perm import (
     Permutation,
     _check_hook,
@@ -195,7 +195,7 @@ def _schubert_cached(word: tuple[int, ...]) -> Poly:
     v = w.swap_positions(r, s)
     p = _schubert_cached(v.trim().word) * Poly.x(r)
     # the transition terms: the (r-1)-Bruhat covers of v moving position r
-    for i, l in _cover_swaps(v.word, r - 1):
+    for i, l, _alpha in _covers((), v.word, r - 1, False):
         if l == r - 1:
             p = p + _schubert_cached(v.swap_positions(i + 1, r).trim().word)
     return p
@@ -349,14 +349,17 @@ def _check_powersum_args(u: Permutation, r: int, k: int) -> None:
 
 
 def _expansion(n: int, terms: dict) -> Expansion:
-    return Expansion(
-        n,
-        [
-            (QElement._trusted(alpha, Permutation._trusted(word)), c)
-            for (alpha, word), c in terms.items()
-            if c
-        ],
-    )
+    """The Expansion of {(alpha, word): c} over S_n, built without the checks
+    and the re-summing of ``Expansion(...)``: the engine's keys are distinct
+    and fit S_n, and a zero c is dropped."""
+    exp = object.__new__(Expansion)
+    exp.n = n
+    exp.terms = {
+        QElement._trusted(alpha, Permutation._trusted(word)): c
+        for (alpha, word), c in terms.items()
+        if c
+    }
+    return exp
 
 
 def _x_step(terms: dict, m: int, quantum: bool) -> dict:
@@ -453,8 +456,10 @@ def _powersum_coefficient(rising: int, cycles: int) -> int:
 
 def monk_multiply(u: Permutation, k: int) -> Expansion:
     """S_u times S_{(k, k+1)} = x_1 + ... + x_k: the k-Bruhat covers of u."""
-    zero = (0,) * (u.n - 1)
-    return Expansion(u.n, [(QElement(zero, w), 1) for _lab, w in up_covers(u, k)])
+    _check_k(u.n, k)
+    zero, word = (0,) * (u.n - 1), u.word
+    covers = _covers(zero, word, k, False)
+    return _expansion(u.n, {(zero, _swapped(word, i, l)): 1 for i, l, _a in covers})
 
 
 def x_times(exp: Expansion, m: int) -> Expansion:
@@ -471,22 +476,21 @@ def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:
     """S_u times s_{(b, 1^(a-1))}(x_1..x_k), summing peakless chains of height a."""
     _check_hook(a, b, k, u.n)
-    n = u.n
     r = a + b - 1
-    counts: dict[Permutation, int] = {}
+    zero = (0,) * (u.n - 1)
+    counts: dict[tuple, int] = {}
 
-    def dfs(x: Permutation, last: int, t: int) -> None:
+    def dfs(word: tuple[int, ...], last: int, t: int) -> None:
         if t == r:
-            counts[x] = counts.get(x, 0) + 1
+            counts[zero, word] = counts.get((zero, word), 0) + 1
             return
-        for lab, y in up_covers(x, k):
-            if (lab < last) if t + 1 <= a else (lab > last):
-                dfs(y, lab, t + 1)
+        for i, l, _a in _covers(zero, word, k, False):
+            lab = word[i]
+            if (lab < last) if t < a else (lab > last):
+                dfs(_swapped(word, i, l), lab, t + 1)
 
-    for lab, y in up_covers(u, k):
-        dfs(y, lab, 1)
-    zero = (0,) * (n - 1)
-    return Expansion(n, [(QElement(zero, w), c) for w, c in counts.items()])
+    dfs(u.word, u.n + 1, 0)  # every label lies below n + 1, so step 1 is free
+    return _expansion(u.n, counts)
 
 
 def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:

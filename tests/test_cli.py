@@ -102,7 +102,7 @@ def test_quantum_lambda_routes_agree(capsys):
 def test_ll_reduce_reaches_past_the_fgp_oracle(capsys):
     args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
     code, _, err = run(capsys, *args, "--basis", "fgp-oracle")
-    assert code == 2 and "stops at S_7" in err
+    assert code == 2 and "stops at S_7: S_8 needs a peel of degree blocks" in err
     code, out, _ = run(capsys, *args, "--basis", "ll-reduce")
     assert code == 0 and len(out.splitlines()) == 36
 
@@ -112,7 +112,10 @@ def test_fgp_refusal_names_the_route_without_the_limit(capsys):
     args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
-    assert err.startswith("usage error: the FGP quantization oracle stops at S_7")
+    assert err.startswith(
+        "usage error: the FGP quantization oracle stops at S_7: S_8 needs a peel"
+        " of degree blocks of 3836 elementary-monomial products or more"
+    )
     assert err.endswith("; ll_reduce_product (--basis ll-reduce) has no such limit\n")
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flagmn.kbruhat import (
+    _covers,
     _x_covers,
     bruhat_leq,
     chains,
@@ -29,28 +30,53 @@ from flagmn.perm import (
     longest_element,
     parse_permutation,
 )
-from flagmn.qbruhat import QElement, q_interval, q_up_covers
-from lemma_helpers import monk_difference, noncrossing_factorization
+from flagmn.qbruhat import QElement, q_ij, q_interval, q_up_covers
+from lemma_helpers import (
+    brute_quantum_covers,
+    monk_difference,
+    noncrossing_factorization,
+)
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
 ZETA2 = from_cycles([(1, 7, 4), (3, 6)], 7)
 
 
 def brute_covers(u, k):
-    out = set()
-    for i in range(1, k + 1):
-        for j in range(k + 1, u.n + 1):
-            w = u.swap_positions(i, j)
-            if w.length == u.length + 1:
-                out.add((u(i), w))
-    return out
+    """(u(i), u t_ij) for each k-Bruhat cover, scanning i, then j."""
+    return [
+        (u(i), u.swap_positions(i, j))
+        for i in range(1, k + 1)
+        for j in range(k + 1, u.n + 1)
+        if u.swap_positions(i, j).length == u.length + 1
+    ]
 
 
 def test_up_covers_match_degree_condition():
     for n in (3, 4, 5):
         for u in all_permutations(n):
             for k in range(1, n):
-                assert set(up_covers(u, k)) == brute_covers(u, k)
+                assert up_covers(u, k) == brute_covers(u, k)
+
+
+def test_covers_list_the_classical_then_the_quantum_covers():
+    # the one kernel of both rules against the two brute-force scans, in
+    # their order: every classical cover, carrying alpha itself, then every
+    # quantum cover, and with quantum off only the classical ones
+    for n in range(2, 7):
+        alpha = tuple(range(n - 1))
+        for u in all_permutations(n):
+            word = u.word
+            for k in range(1, n):
+                covers = _covers(alpha, word, k, True)
+                got = [(word[i], _swapped(word, i, l), a) for i, l, a in covers]
+                classical = [(lab, w.word, alpha) for lab, w in brute_covers(u, k)]
+                quantum = [
+                    (lab, w.word, tuple(map(sum, zip(alpha, q_ij(i, j, n)))))
+                    for lab, (i, j), w in brute_quantum_covers(u, k)
+                ]
+                assert got == classical + quantum, (u, k)
+                assert all(a is alpha for _i, _l, a in covers[: len(classical)])
+                assert _covers(alpha, word, k, False) == covers[: len(classical)]
 
 
 def test_up_covers_s8_example():

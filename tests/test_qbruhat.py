@@ -249,14 +249,15 @@ def test_q_interval_at_a_classical_top_is_the_classical_interval():
 
 def test_walk_below_a_classical_top_makes_no_quantum_cover(monkeypatch, capsys):
     # below a classical top every quantum cover overshoots the cap, so the
-    # walk never asks for one: the quantum cover kernel may as well be gone
+    # walk never asks for one: every quantum cover raises its alpha through
+    # ``_raised``, which may as well be gone
     from flagmn import kbruhat
     from flagmn.cli import main
 
     def refuse(*_args):
         raise AssertionError("a quantum cover was generated")
 
-    monkeypatch.setattr(kbruhat, "_quantum_swaps", refuse)
+    monkeypatch.setattr(kbruhat, "_raised", refuse)
     perms = list(all_permutations(4))
     pairs = 0
     for u in perms:

@@ -527,9 +527,9 @@ def test_fgp_refuses_s8_before_building_the_change_of_basis(monkeypatch):
     block = max(Counter(map(sum, itertools.product(*steps))).values())
     assert block == FGP_REFUSED_BLOCK == 3836
     want = (
-        "the FGP quantization oracle stops at S_7: S_8 needs an exact inversion"
-        f" of a degree block of {block} x {block} or more; ll_reduce_product"
-        " (--basis ll-reduce) has no such limit"
+        "the FGP quantization oracle stops at S_7: S_8 needs a peel of degree"
+        f" blocks of {block} elementary-monomial products or more;"
+        " ll_reduce_product (--basis ll-reduce) has no such limit"
     )
 
     def unbuilt(n):

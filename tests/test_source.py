@@ -190,9 +190,21 @@ def test_import_loads_no_deferred_module():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     by_package, by_cli = (set(ast.literal_eval(line)) for line in out.splitlines())
-    assert "flagmn.verification" in by_package and "flagmn.cli" in by_cli
+    # the release gate loads with the CLI or on first use, not with the package
+    assert "flagmn.verification" not in by_package
+    assert {"flagmn.verification", "flagmn.cli"} <= by_cli
     assert by_package & DEFERRED == set()
     assert "difflib" not in by_cli and "json" not in by_cli
+
+
+def test_package_serves_the_gate_names_on_first_use():
+    import flagmn
+    from flagmn import verification
+
+    assert flagmn.run_checks is verification.run_checks
+    assert flagmn.CheckResult is verification.CheckResult
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        flagmn.no_such_name
 
 
 def test_statement_coverage_counts_the_statements_never_run():
