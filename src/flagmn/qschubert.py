@@ -10,10 +10,13 @@ The quantum products run on the engine they share with the classical ones
   summing over minimal intervals of the quantum k-Bruhat order.
 
 Two routes that do not use the minimal-interval rule check them.
-``fgp_product`` is an oracle that multiplies honestly in ZZ[q][x] after
-quantizing the Schur polynomial through quantum elementary polynomials
-E^j_i; it applies the quantum Monk rule through the shared x_m operator,
-the signed covers through position m.  ``quantum_lr`` computes a single
+``fgp_product`` is an oracle that multiplies honestly in ZZ[q][x]: it
+builds the quantum Schur polynomial as a column-flagged determinant of
+quantum elementary polynomials E^j_i, at any n, and applies the quantum
+Monk rule through the shared x_m operator, the signed covers through
+position m.  ``quantize`` states the Fomin-Gelfand-Postnikov quantization
+itself, through a change of basis that stops at S_7, and is the reference
+the determinant is tested against.  ``quantum_lr`` computes a single
 coefficient N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction:
 while alpha is nonzero, find a wall i where u descends, w ascends, and the
 second difference of alpha is 1 (2 when i = k); swapping positions i, i+1
@@ -382,10 +385,12 @@ def _elementary_poly(i: int, j: int) -> Poly:
     return schur_poly((1,) * i, j)
 
 
-# The largest n the change of basis reaches.  Building and peeling its products
-# takes about 0.005 s at n = 5, 0.06-0.1 s at n = 6 and 2-4 s at n = 7 (degree
-# blocks up to 573 products, 19 MB peak RSS for the whole process), on 2 cores
-# with Python 3.11; n = 8 has blocks of 3836 products.
+# The largest n the change of basis of ``quantize`` reaches; ``quantum_schur``
+# and the FGP products need no change of basis and have no such bound.
+# Building and peeling its products takes about 0.005 s at n = 5, 0.06-0.1 s
+# at n = 6 and 2-4 s at n = 7 (degree blocks up to 573 products, 19 MB peak
+# RSS for the whole process), on 2 cores with Python 3.11; n = 8 has blocks of
+# 3836 products.
 FGP_MAX_N = 7
 FGP_REFUSED_BLOCK = 3836  # the largest degree block of S_{FGP_MAX_N + 1}
 
@@ -460,6 +465,8 @@ def quantize(p: Poly, n: int) -> QPoly:
     takes the q-free part of each quantized product off the remainder.
     Degree-one polynomials are fixed, and setting q = 0 returns p.  Raises
     ValueError for n > FGP_MAX_N, where the change of basis is out of reach.
+    This is the definition of the quantization; ``quantum_schur`` computes
+    its value on a Schur polynomial without the change of basis, at every n.
     """
     if n > FGP_MAX_N:
         raise ValueError(
@@ -493,8 +500,38 @@ def quantize(p: Poly, n: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
-    """The quantum Schur polynomial s^q_lam(x_1..x_k) for lam inside R_{k,n-k}."""
-    return quantize(schur_poly(_check_shape(lam, k, n), k), n)
+    """The quantum Schur polynomial s^q_lam(x_1..x_k) for lam inside R_{k,n-k}.
+
+    It is the column-flagged dual Jacobi-Trudi determinant
+    det(E^{k+j}_{mu_i-i+j}), mu = lam', rows i and columns j counted from 0.
+    The same determinant of e_{mu_i-i+j}(x_1..x_{k+j}) is s_lam(x_1..x_k).
+    Each of its Laplace terms takes one factor per column, so from distinct
+    e(x_1..x_{k+j}) with k + j <= n - 1: a standard elementary monomial.
+    ``quantize`` is linear and sends such a monomial to the same product of
+    E's, so no change of basis is needed.  Expanded along the columns, with
+    the minor on each set of rows memoized for this call.
+
+    >>> str(quantum_schur((2,), 1, 3))
+    '-q1 +x1^2'
+    """
+    lam = _check_shape(lam, k, n)
+    mu = [sum(part > j for part in lam) for j in range(max(lam, default=0))]
+    minors = {0: QPoly.one()}  # a bitmask of rows -> their minor on the last columns
+
+    def minor(rows: int) -> QPoly:
+        if rows not in minors:
+            j = len(mu) - rows.bit_count()
+            out, sign = QPoly(), 1
+            for i, mu_i in enumerate(mu):
+                if rows >> i & 1:
+                    entry = quantum_elementary(mu_i - i + j, k + j)
+                    if entry:
+                        out = out + entry * minor(rows & ~(1 << i)) * sign
+                    sign = -sign
+            minors[rows] = out
+        return minors[rows]
+
+    return minor((1 << len(mu)) - 1)
 
 
 def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:

@@ -99,24 +99,29 @@ def test_quantum_lambda_routes_agree(capsys):
     assert text_a == text_b and text_a.count("\n") > 1
 
 
-def test_ll_reduce_reaches_past_the_fgp_oracle(capsys):
+def test_both_lambda_bases_answer_at_s8_with_the_same_bytes(capsys):
     args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
-    code, _, err = run(capsys, *args, "--basis", "fgp-oracle")
-    assert code == 2 and "stops at S_7: S_8 needs a peel of degree blocks" in err
-    code, out, _ = run(capsys, *args, "--basis", "ll-reduce")
-    assert code == 0 and len(out.splitlines()) == 36
+    code_a, text_a, err_a = run(capsys, *args, "--basis", "fgp-oracle")
+    code_b, text_b, err_b = run(capsys, *args, "--basis", "ll-reduce")
+    assert code_a == code_b == 0 and err_a == err_b == ""
+    assert text_a == text_b and len(text_a.splitlines()) == 36
 
 
-def test_fgp_refusal_names_the_route_without_the_limit(capsys):
-    # the default quantum --lambda basis is fgp-oracle, which stops at S_7
-    args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", "3,2,1")
-    code, out, err = run(capsys, *args)
-    assert code == 2 and out == ""
-    assert err.startswith(
-        "usage error: the FGP quantization oracle stops at S_7: S_8 needs a peel"
-        " of degree blocks of 3836 elementary-monomial products or more"
-    )
-    assert err.endswith("; ll_reduce_product (--basis ll-reduce) has no such limit\n")
+def test_default_lambda_basis_answers_at_s8_with_ll_reduce_bytes(capsys):
+    # the default quantum --lambda basis is fgp-oracle, which has no size limit
+    for lam in ("3,2,1", "2,2"):
+        args = ("product", "--quantum", "--u", "68235741", "--k", "4", "--lambda", lam)
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "") and out.count("\n") > 1
+        assert run(capsys, *args, "--basis", "ll-reduce") == (code, out, err)
+
+
+def test_fgp_oracle_answers_the_s8_monk_product(capsys):
+    # S_e * s^q_1(x_1) in S_8 is S_{s_1}, the hook rule's one term
+    args = ("product", "--quantum", "--u", "12345678", "--k", "1")
+    code, out, err = run(capsys, *args, "--lambda", "1")
+    assert (code, out, err) == (0, "+1 21345678\n", "")
+    assert run(capsys, *args, "--hook", "1,1") == (code, out, err)
 
 
 # sha256 of the stdout of every product in _quantum_route_products, recorded
@@ -423,7 +428,8 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--format", "dot"),
         ("operators", "--word", "v(1,2)", "--n", "3", "--u", "213", "--k", "1", "--format", "dot"),
         ("product", "--u", "1432", "--n", "3", "--k", "1", "--hook", "1,1"),
-        ("product", "--quantum", "--u", "12345678", "--k", "1", "--lambda", "1"),
+        # at S_8 the FGP route still refuses a shape outside k x (n - k)
+        ("product", "--quantum", "--u", "12345678", "--k", "4", "--lambda", "5"),
         # the target alone picks the order: interval and chains have no --quantum
         ("interval", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),
         ("chains", "--u", "1432", "--target", "3412", "--k", "2", "--quantum"),

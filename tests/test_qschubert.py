@@ -512,6 +512,73 @@ def test_quantum_schur_validates_shape():
         quantum_schur((1, 1, 1), 2, 4)
 
 
+def _shapes_in(k, n):
+    """Every partition inside the k x (n - k) rectangle, the empty one first."""
+    for size in range(k * (n - k) + 1):
+        yield from partitions(size, n - k, k)
+
+
+def _flagged_determinant(lam, flag):
+    """det(E^{flag(j)}_{mu_i-i+j}), mu = lam', by the Leibniz sum over S_{lam_1}."""
+    mu = [sum(part > j for part in lam) for j in range(max(lam, default=0))]
+    out = QPoly()
+    for perm in itertools.permutations(range(len(mu))):
+        term = QPoly.one() * (-1) ** Permutation([p + 1 for p in perm]).length
+        for j, i in enumerate(perm):
+            term = term * quantum_elementary(mu[i] - i + j, flag(j))
+        out = out + term
+    return out
+
+
+def test_quantum_schur_is_the_quantization_of_the_schur_polynomial():
+    # the reference: quantize's change of basis, on every shape of S_2..S_6
+    shapes = [
+        (lam, k, n)
+        for n in range(2, 7)
+        for k in range(1, n)
+        for lam in _shapes_in(k, n)
+    ]
+    assert len(shapes) == 114
+    for lam, k, n in shapes:
+        want = quantize(schur_poly(lam, k), n)
+        assert quantum_schur(lam, k, n) == want, (lam, k, n)
+        assert _flagged_determinant(lam, lambda j: k + j) == want, (lam, k, n)
+
+
+def test_the_column_flags_matter():
+    # the same determinant with every column at k is not s^q_lam: the flags,
+    # not the Jacobi-Trudi shape alone, keep each term a standard monomial
+    wrong = [
+        (lam, k, n)
+        for n in range(2, 6)
+        for k in range(1, n)
+        for lam in _shapes_in(k, n)
+        if lam and _flagged_determinant(lam, lambda j: k) != quantum_schur(lam, k, n)
+    ]
+    assert len(wrong) == 22
+    assert ((2,), 1, 3) in wrong  # x1^2 at a constant flag, x1^2 - q1 in truth
+
+
+def test_fgp_products_never_build_the_change_of_basis(monkeypatch):
+    # the determinant needs no solver, which is what lets fgp-oracle answer
+    # at S_8 and start without the n! change of basis
+    def unbuilt(*args):
+        raise AssertionError("the FGP route reached the change of basis")
+
+    monkeypatch.setattr(qschubert, "_standard_solver", unbuilt)
+    monkeypatch.setattr(qschubert, "quantize", unbuilt)
+    quantum_schur.cache_clear()
+    try:
+        for n in range(4, 9):
+            u = Permutation(random.Random(n).sample(range(1, n + 1), n))
+            k = n // 2
+            for lam in ((2, 1), (2, 2)):  # a hook and a shape that is not one
+                got = fgp_product(u, lam, k)
+                assert got == ll_reduce_product(u, lam, k) and got.terms, (u, lam)
+    finally:
+        quantum_schur.cache_clear()
+
+
 # -- products: FGP oracle vs closed rules ---------------------------------------
 
 
@@ -537,7 +604,7 @@ def test_fgp_refuses_s8_before_building_the_change_of_basis(monkeypatch):
 
     monkeypatch.setattr(qschubert, "_standard_solver", unbuilt)
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        fgp_product(identity(8), (1,), 1)
+        quantize(schur_poly((1,), 1), 8)
 
 
 def test_q_hook_validates_arguments():
