@@ -53,13 +53,17 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"malformed {what} {text!r}") from None
 
 
+def _print_json(obj) -> None:
+    import json
+    print(json.dumps(obj, indent=2))
+
+
 def _emit_expansion(exp: Expansion, fmt: str) -> None:
     if fmt == "json":
-        import json
         terms = [
             {"coeff": c, "q": list(x.alpha), "w": str(x.w)} for x, c in exp.items()
         ]
-        print(json.dumps({"terms": terms}, indent=2))
+        _print_json({"terms": terms})
     else:
         print(exp.text())
 
@@ -197,20 +201,16 @@ def cmd_interval(args) -> int:
 def cmd_chains(args) -> int:
     found = sorted(poset_chains(_poset(args)), key=lambda ch: ch.labels)
     if args.format == "json":
-        import json
-        print(
-            json.dumps(
-                {
-                    "chains": [
-                        {
-                            "labels": list(ch.labels),
-                            "elements": [str(x) for x in ch.elements],
-                        }
-                        for ch in found
-                    ]
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "chains": [
+                    {
+                        "labels": list(ch.labels),
+                        "elements": [str(x) for x in ch.elements],
+                    }
+                    for ch in found
+                ]
+            }
         )
     else:
         for ch in found:
@@ -239,18 +239,14 @@ def cmd_operators(args) -> int:
         result = act(word, u, args.k)
         action = "0" if result is None else str(result)
     if args.format == "json":
-        import json
-        print(
-            json.dumps(
-                {
-                    "word": str(word),
-                    "letters": [list(l) for l in word.letters],
-                    "n": word.n,
-                    "class": classify(word),
-                    "action": action,
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "word": str(word),
+                "letters": [list(l) for l in word.letters],
+                "n": word.n,
+                "class": classify(word),
+                "action": action,
+            }
         )
     else:
         print(word_diagram(word))

@@ -35,6 +35,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from .perm import (
     Permutation,
+    _Record,
     _check_k,
     _check_size,
     _swapped,
@@ -197,7 +198,7 @@ def leq_k(u: Permutation, w: Permutation, k: int) -> bool:
 # -- labeled graded posets ---------------------------------------------------
 
 
-class LabeledPoset:
+class LabeledPoset(_Record):
     """A graded interval with labeled cover edges.
 
     Elements are any hashable objects with a sensible str(); edges are
@@ -209,16 +210,6 @@ class LabeledPoset:
     def __init__(self, bottom, top, elements: tuple, edges: tuple, rank_of: dict):
         self.bottom, self.top, self.elements = bottom, top, elements
         self.edges, self.rank_of = edges, rank_of
-
-    def _fields(self) -> tuple:
-        return (self.bottom, self.top, self.elements, self.edges, self.rank_of)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabeledPoset) and self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        bottom, top, elements, edges, rank_of = self._fields()
-        return f"LabeledPoset({bottom=}, {top=}, {elements=}, {edges=}, {rank_of=})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -338,23 +329,13 @@ def interval(u: Permutation, w: Permutation, k: int) -> LabeledPoset:
     )
 
 
-class Chain:
+class Chain(_Record):
     """A saturated chain: elements[0] -> ... -> elements[-1], labels[i] on step i."""
 
     __slots__ = ("elements", "labels")
 
     def __init__(self, elements: tuple, labels: tuple):
         self.elements, self.labels = elements, labels
-
-    def __eq__(self, other: object) -> bool:
-        same = isinstance(other, Chain) and self.elements == other.elements
-        return same and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.labels))
-
-    def __repr__(self) -> str:
-        return f"Chain(elements={self.elements!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
-from .perm import Permutation, _check_k, _check_size, all_permutations
+from .perm import Permutation, _Record, _check_k, _check_size, all_permutations
 from .qbruhat import QElement, q_chains
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-class OperatorWord:
+class OperatorWord(_Record):
     """A composition of left operators v(a,b) on S_n[q].
 
     ``letters`` is kept in composition order: ``letters[0]`` is the leftmost
@@ -81,16 +81,6 @@ class OperatorWord:
                 raise ValueError(f"letter ({a},{b}) outside 1..{n}")
             if a == b:
                 raise ValueError(f"degenerate letter ({a},{a})")
-
-    def __eq__(self, other: object) -> bool:
-        same = isinstance(other, OperatorWord) and self.n == other.n
-        return same and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
-
-    def __repr__(self) -> str:
-        return f"OperatorWord(n={self.n!r}, letters={self.letters!r})"
 
     @classmethod
     def from_application(

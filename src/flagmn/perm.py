@@ -19,6 +19,7 @@ comma-separated otherwise.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from typing import Iterable, Iterator
 
@@ -41,6 +42,34 @@ __all__ = [
     "grassmannian_shape",
     "all_permutations",
 ]
+
+
+class _Record:
+    """A plain value object: its ``__slots__`` are its fields.
+
+    Equality is type-strict and compares the fields, hashing hashes them (so
+    a record with a dict field is unhashable), and the repr is the keyword
+    call ``Name(field=..., ...)`` in slot order.  A subclass that adds no
+    slots keeps its parent's fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._field_names = cls.__slots__
+            # one field comes back bare, several as a tuple
+            cls._fields = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._field_names)
+        return f"{type(self).__name__}({body})"
 
 
 class Permutation:

@@ -45,6 +45,7 @@ from functools import lru_cache
 from .kbruhat import _covers
 from .perm import (
     Permutation,
+    _Record,
     _check_hook,
     _check_k,
     _check_shape,
@@ -119,7 +120,7 @@ def sg(u: Permutation, i: int) -> int:
     return 1 if u.has_descent(i) else 0
 
 
-class QLRQuery:
+class QLRQuery(_Record):
     """A coefficient query: which multiple of S_w does S_u * s^q_lam(x_1..x_k) contain?
 
     ``alpha`` is the exponent vector of the q-monomial attached to w.
@@ -131,19 +132,6 @@ class QLRQuery:
         _check_size(u.n, w.n)
         self.u, self.w, self.alpha = u, w, QElement(alpha, w).alpha
         self.lam, self.k = _check_shape(lam, k, u.n), k
-
-    def _fields(self) -> tuple:
-        return (self.u, self.w, self.alpha, self.lam, self.k)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QLRQuery) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        u, w, alpha, lam, k = self._fields()
-        return f"QLRQuery({u=}, {w=}, {alpha=}, {lam=}, {k=})"
 
 
 def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):
@@ -470,10 +458,10 @@ def quantize(p: Poly, n: int) -> QPoly:
     """
     if n > FGP_MAX_N:
         raise ValueError(
-            f"the FGP quantization oracle stops at S_{FGP_MAX_N}: S_{n} needs "
-            f"a peel of degree blocks of {FGP_REFUSED_BLOCK} elementary-monomial "
-            "products or more; ll_reduce_product (--basis ll-reduce) has no such "
-            "limit"
+            f"quantize's change of basis stops at S_{FGP_MAX_N}: S_{n} needs a "
+            f"peel of degree blocks of {FGP_REFUSED_BLOCK} elementary-monomial "
+            "products or more; quantum_schur and fgp_product (--basis fgp-oracle) "
+            "have no such limit"
         )
     rem = dict(p.terms)
     out: dict[tuple, int] = {}

@@ -39,6 +39,7 @@ from typing import Iterable
 from .kbruhat import _covers, _peakless_binomial, _x_covers
 from .perm import (
     Permutation,
+    _Record,
     _check_hook,
     _check_k,
     _check_partition,
@@ -83,7 +84,7 @@ def _names(v: str, exps: tuple[int, ...]) -> list[str]:
     return [f"{v}{i}^{e}" if e > 1 else f"{v}{i}" for i, e in enumerate(exps, 1) if e]
 
 
-class _SparsePoly:
+class _SparsePoly(_Record):
     """Sparse integer polynomial: a dict from exponent keys to nonzero coefficients.
 
     A subclass fixes its key rules: ``_trim_key`` strips a key's trailing
@@ -114,9 +115,6 @@ class _SparsePoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -258,7 +256,7 @@ def expand_in_schubert(p: Poly) -> dict[Permutation, int]:
 # -- expansions in the Schubert basis ------------------------------------------
 
 
-class Expansion:
+class Expansion(_Record):
     """A formal ZZ-linear combination of classes q^alpha w over a fixed S_n."""
 
     __slots__ = ("n", "terms")
@@ -311,13 +309,6 @@ class Expansion:
         return Expansion(self.n, {x: c * v for x, v in self.terms.items()})
 
     __mul__ = __rmul__ = scale
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Expansion)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -43,6 +43,7 @@ from .operators import (
 )
 from .perm import (
     Permutation,
+    _Record,
     all_permutations,
     cyclic_shift,
     hook_partition,
@@ -92,24 +93,11 @@ __all__ = [
 ]
 
 
-class CheckResult:
+class CheckResult(_Record):
     __slots__ = ("name", "ok", "detail", "seconds")
 
     def __init__(self, name: str, ok: bool, detail: str, seconds: float):
         self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
-
-    def _fields(self) -> tuple:
-        return (self.name, self.ok, self.detail, self.seconds)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CheckResult) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        name, ok, detail, seconds = self._fields()
-        return f"CheckResult({name=}, {ok=}, {detail=}, {seconds=})"
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {}

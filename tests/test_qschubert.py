@@ -225,21 +225,42 @@ def test_record_classes_repr_eq_hash_and_keywords():
         OperatorWord(4, ((4, 1), (1, 2))),
         QLRQuery(u, w, (0, 0, 0), (1,), 2),
         CheckResult("monk", True, "4 cases", 0.25),
+        q_monk_multiply(u, 2),
+        Poly({(2, 1): 3, (): -1}),
+        QPoly({((1,), (0, 2)): 1}),
+        Poly(),
+        QPoly(),
     ]
-    classes = (Permutation, LabeledPoset, Chain, OperatorWord, QLRQuery, CheckResult)
+    classes = (Permutation, QElement, LabeledPoset, Chain, OperatorWord, QLRQuery)
+    classes += (CheckResult, Expansion, Poly, QPoly)
     names = {cls.__name__: cls for cls in classes}
     for obj in records:
         back = eval(repr(obj), names)
-        assert back == obj
-        fields = {f: getattr(obj, f) for f in type(obj).__slots__}
+        assert back == obj and repr(back) == repr(obj)
+        # Poly and QPoly take their one field, terms, from _SparsePoly
+        mro = type(obj).__mro__
+        slots = [f for cls in mro for f in cls.__dict__.get("__slots__", ())]
+        fields = {f: getattr(obj, f) for f in slots}
         assert type(obj)(**fields) == obj
-        if isinstance(obj, LabeledPoset):
-            with pytest.raises(TypeError):
-                hash(obj)  # rank_of is a dict
+        values = tuple(fields.values())
+        assert obj != values and values != obj
+        assert all(obj != v for v in values)
+        if isinstance(obj, (LabeledPoset, Expansion, Poly, QPoly)):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(obj)  # rank_of and terms are dicts
         else:
             assert hash(back) == hash(obj)
     assert records[2] != OperatorWord(4, ((1, 2), (4, 1)))
     assert records[4] != CheckResult("monk", False, "4 cases", 0.25)
+    assert Expansion(4) != Expansion(5)
+    # equality is type-strict: same fields, other class
+    assert Poly() != QPoly() and QPoly() != Poly()
+
+    class Timed(CheckResult):
+        __slots__ = ()
+
+    timed = Timed("monk", True, "4 cases", 0.25)
+    assert timed != records[4] and records[4] != timed
 
 
 def test_quantum_monk_is_linear_and_respects_q():
@@ -587,16 +608,16 @@ def test_fgp_reproduces_quantum_monk_s4():
     assert fgp_product(u, (1,), 2) == q_monk_multiply(u, 2)
 
 
-def test_fgp_refuses_s8_before_building_the_change_of_basis(monkeypatch):
+def test_quantize_refuses_s8_before_building_the_change_of_basis(monkeypatch):
     # the middle degree blocks at n = 8 are out of reach: the largest has one
     # row per code (c_1..c_7), 0 <= c_j <= j, of the middle degree
     steps = (range(j + 1) for j in range(1, 8))
     block = max(Counter(map(sum, itertools.product(*steps))).values())
     assert block == FGP_REFUSED_BLOCK == 3836
     want = (
-        "the FGP quantization oracle stops at S_7: S_8 needs a peel of degree"
+        "quantize's change of basis stops at S_7: S_8 needs a peel of degree"
         f" blocks of {block} elementary-monomial products or more;"
-        " ll_reduce_product (--basis ll-reduce) has no such limit"
+        " quantum_schur and fgp_product (--basis fgp-oracle) have no such limit"
     )
 
     def unbuilt(n):

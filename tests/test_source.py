@@ -119,6 +119,58 @@ def test_unused_private_name_is_caught():
     assert _unused_private_names(trees) == ["a._UNUSED", "a._loop", "a._Spare"]
 
 
+# the value protocol is stated once, in perm._Record; Permutation and QElement,
+# the dict keys of every product, keep their own with a cached hash
+PROTOCOL_OWNERS = {"_Record", "Permutation", "QElement"}
+
+
+def _stray_protocol(tree: ast.Module) -> list[str]:
+    """Class.name for each __eq__ or __hash__ a class other than the owners
+    defines or assigns."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name in PROTOCOL_OWNERS:
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    t.id
+                    for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                ]
+            else:
+                continue
+            found += [f"{cls.name}.{n}" for n in names if n in ("__eq__", "__hash__")]
+    return found
+
+
+def test_value_protocol_is_stated_once():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")]
+    assert [name for tree in trees for name in _stray_protocol(tree)] == []
+
+
+def test_stray_protocol_is_caught():
+    tree = ast.parse(
+        "class Permutation:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class Word(_Record):\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "    def __repr__(self):\n"
+        "        return 'Word()'\n"
+        "    class Letter:\n"
+        "        __eq__ = object.__eq__\n"
+        "        __hash__: object = None\n"
+        "def __eq__(a, b):\n"
+        "    return a is b\n"
+    )
+    want = ["Word.__hash__", "Letter.__eq__", "Letter.__hash__"]
+    assert _stray_protocol(tree) == want
+
+
 # each module builds only on the modules before it
 LAYERS = (
     "perm",
