@@ -29,7 +29,6 @@ from .qschubert import (
     q_hook_multiply,
     q_monk_multiply,
     q_powersum_multiply,
-    q_schur_multiply,
     quantum_lr,
 )
 from .schubert import (
@@ -77,7 +76,6 @@ __all__ = [
     "q_interval",
     "q_monk_multiply",
     "q_powersum_multiply",
-    "q_schur_multiply",
     "quantum_lr",
     "rc_decompose",
     "run_checks",

@@ -322,20 +322,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_product)
 
-    for name, fn, helptext in (
-        ("interval", cmd_interval, "print a k-Bruhat interval"),
-        ("chains", cmd_chains, "list the saturated chains of an interval"),
+    for name, fn, helptext, formats in (
+        ("interval", cmd_interval, "print a k-Bruhat interval", "text json dot"),
+        ("chains", cmd_chains, "list the saturated chains of an interval", "text json"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--u", required=True)
         p.add_argument("--target", required=True, help="permutation or q^alpha w")
         p.add_argument("--k", type=int, required=True)
-        if name == "interval":
-            p.add_argument(
-                "--format", choices=["text", "json", "dot"], default="text"
-            )
-        else:
-            p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--format", choices=formats.split(), default="text")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("operators", help="inspect a word in the v(a,b) operators")

@@ -10,24 +10,25 @@ The quantum products run on the engine they share with the classical ones
   summing over minimal intervals of the quantum k-Bruhat order.
 
 Two routes that do not use the minimal-interval rule check them.
-``fgp_product`` is an oracle that multiplies honestly in ZZ[q][x]: it
-builds the quantum Schur polynomial as a column-flagged determinant of
-quantum elementary polynomials E^j_i, at any n, and applies the quantum
-Monk rule through the shared x_m operator, the signed covers through
-position m.  ``quantize`` states the Fomin-Gelfand-Postnikov quantization
-itself, through a change of basis that stops at S_7, and is the reference
-the determinant is tested against.  ``quantum_lr`` computes a single
-coefficient N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction:
-while alpha is nonzero, find a wall i where u descends, w ascends, and the
-second difference of alpha is 1 (2 when i = k); swapping positions i, i+1
-in both u and w and stripping e_i from alpha preserves the coefficient
-exactly, so the classical coefficient reached at alpha = 0 is the answer.
-When no wall qualifies the coefficient is zero.  ``ll_reduce_product`` runs
-that reduction on every candidate term of a whole product, and walks the
-quantum covers only to list those candidates.  Both take each coefficient
-from one function on one-line words, which multiplies the classical base it
-lands on with the classical x_m operator through a bounded memo shared
-across calls, since many u reduce to the same base.
+``fgp_product``, the one name of the FGP route (the CLI's ``fgp-oracle``),
+is an oracle that multiplies honestly in ZZ[q][x]: it builds the quantum
+Schur polynomial as a column-flagged determinant of quantum elementary
+polynomials E^j_i, at any n, and applies the quantum Monk rule through the
+shared x_m operator, the signed covers through position m.  ``quantize``
+states the Fomin-Gelfand-Postnikov quantization itself, through a change of
+basis that stops at S_7, and is the reference the determinant is tested
+against.  ``quantum_lr`` computes a single coefficient
+N^{w,alpha}_{u,v(lam,k)} by the descent-exchange reduction: while alpha is
+nonzero, find a wall i where u descends, w ascends, and the second
+difference of alpha is 1 (2 when i = k); swapping positions i, i+1 in both u
+and w and stripping e_i from alpha preserves the coefficient exactly, so the
+classical coefficient reached at alpha = 0 is the answer.  When no
+wall qualifies the coefficient is zero.  ``ll_reduce_product`` runs that
+reduction on every candidate term of a whole product, and walks the quantum
+covers only to list those candidates.  Both take each coefficient from one
+function on one-line words, which multiplies the classical base it lands on
+with the classical x_m operator through a bounded memo shared across calls,
+since many u reduce to the same base.
 
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
@@ -65,7 +66,6 @@ from .schubert import (
     _hook_coefficient,
     _minimal_rule,
     _names,
-    _operator_sum,
     _operator_terms,
     _padded_sum,
     _powersum_coefficient,
@@ -76,7 +76,6 @@ from .schubert import (
 
 __all__ = [
     "varpi",
-    "sg",
     "QLRQuery",
     "ll_reduce_step",
     "quantum_lr",
@@ -87,7 +86,6 @@ __all__ = [
     "rho_element",
     "q_monk_multiply",
     "q_x_times",
-    "q_schur_multiply",
     "q_hook_multiply",
     "q_powersum_multiply",
     "QPoly",
@@ -115,11 +113,6 @@ def varpi(alpha: tuple[int, ...], i: int) -> int:
     return -left + 2 * alpha[i - 1] - right
 
 
-def sg(u: Permutation, i: int) -> int:
-    """1 when u has a descent at i, else 0."""
-    return 1 if u.has_descent(i) else 0
-
-
 class QLRQuery(_Record):
     """A coefficient query: which multiple of S_w does S_u * s^q_lam(x_1..x_k) contain?
 
@@ -137,10 +130,10 @@ class QLRQuery(_Record):
 def _exchange(u: tuple, w: tuple, alpha: tuple, k: int):
     """The descent exchange on one-line words, stated once.
 
-    Finds the smallest wall i with sg_i(u) = 1, sg_i(w) = 0 and
+    Finds the smallest wall i where u has a descent, w has none and
     varpi_i(alpha) = 1 (= 2 when i = k) and returns
     (i, (u s_i, w s_i, alpha - e_i)), or None when no wall qualifies.  Any
-    qualifying wall yields the same coefficient.  The test sg_i(w) = 0 is
+    qualifying wall yields the same coefficient.  The test on w's descent is
     needed for arbitrary queries: the terms a product reaches pass it anyway,
     but without it u = 231, w = 132, alpha = (1, 1), lam = (1), k = 1
     reduces to 1, where the coefficient is 0.
@@ -522,11 +515,7 @@ def quantum_schur(lam: tuple[int, ...], k: int, n: int) -> QPoly:
     return minor((1 << len(mu)) - 1)
 
 
-def q_schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
+def fgp_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u * s^q_lam(x_1..x_k) through iterated x_m-operators (the FGP route)."""
     monomials = quantum_schur(tuple(lam), k, u.n).monomials()
-    return _operator_sum(u, monomials, True)
-
-
-# the name the CLI, the checks and the benchmark give the FGP route
-fgp_product = q_schur_multiply
+    return _expansion(u.n, _operator_terms(u.word, monomials, True))

@@ -391,11 +391,6 @@ def _operator_terms(start: tuple[int, ...], monomials, quantum: bool) -> dict:
     return out
 
 
-def _operator_sum(u: Permutation, monomials, quantum: bool) -> Expansion:
-    """S_u times the sum of c x^e q^f over ((e, f), c), as an Expansion."""
-    return _expansion(u.n, _operator_terms(u.word, monomials, quantum))
-
-
 def _schur_monomials(lam: tuple[int, ...], k: int) -> tuple:
     """s_lambda(x_1, ..., x_k) as the monomials ``_operator_terms`` takes."""
     return tuple(((e, ()), c) for e, c in schur_poly(lam, k).monomials())
@@ -461,7 +456,7 @@ def x_times(exp: Expansion, m: int) -> Expansion:
 def schur_multiply(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u times s_lambda(x_1, ..., x_k) in H*Fl_n, by iterated x_m-operators."""
     _check_k(u.n, k)
-    return _operator_sum(u, _schur_monomials(lam, k), False)
+    return _expansion(u.n, _operator_terms(u.word, _schur_monomials(lam, k), False))
 
 
 def hook_multiply_chains(u: Permutation, a: int, b: int, k: int) -> Expansion:

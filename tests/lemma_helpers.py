@@ -17,7 +17,7 @@ from flagmn.kbruhat import Chain, _covers, crossing, up_covers
 from flagmn.operators import OperatorWord, act, chain_word
 from flagmn.perm import Permutation, _swapped, flatten, from_cycles, identity
 from flagmn.qbruhat import QElement, q_chains, q_ij
-from flagmn.qschubert import QLRQuery, sg, varpi
+from flagmn.qschubert import QLRQuery, varpi
 from flagmn.schubert import Poly, _trim, schur_multiply
 
 
@@ -194,11 +194,13 @@ def monk_difference(alpha: tuple, word: tuple, m: int, quantum: bool) -> dict:
 
 
 def exchange_walls(u: Permutation, w: Permutation, alpha: tuple, k: int) -> list:
-    """Every wall where the descent exchange applies, by sg and varpi."""
+    """Every wall where the descent exchange applies, by has_descent and varpi."""
     return [
         i
         for i in range(1, u.n)
-        if varpi(alpha, i) == (2 if i == k else 1) and sg(u, i) and not sg(w, i)
+        if varpi(alpha, i) == (2 if i == k else 1)
+        and u.has_descent(i)
+        and not w.has_descent(i)
     ]
 
 

@@ -16,15 +16,15 @@ from flagmn import qschubert, schubert
 from flagmn.kbruhat import up_covers
 from flagmn.perm import Permutation, all_permutations, het, partitions
 from flagmn.qbruhat import QElement, q_up_covers
-from flagmn.qschubert import q_x_times, quantum_elementary, quantum_schur
+from flagmn.qschubert import fgp_product, q_x_times, quantum_elementary, quantum_schur
 from flagmn.schubert import (
     Expansion,
     _hook_coefficient,
     _minimal_rule,
-    _operator_sum,
     _padded_sum,
     _powersum_coefficient,
     schubert_poly,
+    schur_multiply,
     schur_poly,
     x_times,
 )
@@ -167,9 +167,9 @@ def test_operator_sum_matches_per_monomial_x_times():
             quantum = quantum_schur(lam, k, n).monomials()
             for u in S4:
                 want = _per_monomial_sum(u, classical, x_times)
-                assert _operator_sum(u, classical, False) == want, (u, lam, k)
+                assert schur_multiply(u, lam, k) == want, (u, lam, k)
                 want = _per_monomial_sum(u, quantum, q_x_times)
-                assert _operator_sum(u, quantum, True) == want, (u, lam, k)
+                assert fgp_product(u, lam, k) == want, (u, lam, k)
 
 
 # -- golden digest -----------------------------------------------------------

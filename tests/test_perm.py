@@ -299,7 +299,6 @@ K_RULE = {
     "q_monk_multiply": lambda k: fm.q_monk_multiply(U4, k),
     "q_hook_multiply": lambda k: fm.q_hook_multiply(U4, 1, 1, k),
     "q_powersum_multiply": lambda k: fm.q_powersum_multiply(U4, 1, k),
-    "q_schur_multiply": lambda k: fm.q_schur_multiply(U4, (1,), k),
     "quantum_schur": lambda k: quantum_schur((1,), k, 4),
     "ll_reduce_product": lambda k: fm.ll_reduce_product(U4, (1,), k),
     "fgp_product": lambda k: fm.fgp_product(U4, (1,), k),

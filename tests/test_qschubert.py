@@ -40,14 +40,12 @@ from flagmn.qschubert import (
     q_hook_multiply,
     q_monk_multiply,
     q_powersum_multiply,
-    q_schur_multiply,
     q_x_times,
     quantize,
     quantum_elementary,
     quantum_lr,
     quantum_schur,
     rho_element,
-    sg,
     varpi,
     w0_element,
 )
@@ -677,7 +675,7 @@ def _rectangle_args(n):
         (q_monk_multiply, monk_multiply, _monk_args),
         (q_hook_multiply, hook_multiply_minimal, _hook_args),
         (q_powersum_multiply, powersum_multiply, _powersum_args),
-        (q_schur_multiply, schur_multiply, _rectangle_args),
+        (fgp_product, schur_multiply, _rectangle_args),
     ],
     ids=["monk", "hook", "powersum", "schur"],
 )
@@ -726,7 +724,7 @@ def test_fgp_matches_q_hook_s5_spot():
 def test_fgp_handles_non_hook_shapes():
     # (2,2) is not a hook, so only the LL route can cross-check it
     u = parse_permutation("2143")
-    exp = q_schur_multiply(u, (2, 2), 2)
+    exp = fgp_product(u, (2, 2), 2)
     assert exp.terms
     for z, c in exp.terms.items():
         assert z.rank == u.length + 4
@@ -781,7 +779,7 @@ def test_quantum_lr_matches_fgp_on_every_s3_query():
 
 
 def test_word_exchange_is_the_object_exchange_on_every_s3_query():
-    # the exchange runs on one-line words; sg, varpi and swap_positions on
+    # the exchange runs on one-line words; has_descent, varpi and swap_positions on
     # Permutation objects state the same rule at the smallest wall
     queries = list(_s3_queries())
     for q in queries:
@@ -889,7 +887,8 @@ def test_ll_reduce_product_validates_up_front():
 
 
 def test_nonzero_terms_satisfy_descent_bound():
-    # sg_i(w) + varpi_i(alpha) <= sg_i(u) + sg_i(v) for every wall i
+    # sg_i(w) + varpi_i(alpha) <= sg_i(u) + sg_i(v) for every wall i, where
+    # sg_i is 1 at a descent and 0 otherwise
     for word in itertools.permutations((1, 2, 3, 4)):
         u = Permutation(word)
         for k in (1, 2, 3):
@@ -898,9 +897,8 @@ def test_nonzero_terms_satisfy_descent_bound():
                     v = grassmannian(hook_partition(a, b), k, 4)
                     for z in q_hook_multiply(u, a, b, k).terms:
                         for i in (1, 2, 3):
-                            assert sg(z.w, i) + varpi(z.alpha, i) <= sg(
-                                u, i
-                            ) + sg(v, i)
+                            lhs = z.w.has_descent(i) + varpi(z.alpha, i)
+                            assert lhs <= u.has_descent(i) + v.has_descent(i)
 
 
 # -- power sums ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Checks on the package source itself, read with ``ast``."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -257,6 +259,35 @@ def test_package_serves_the_gate_names_on_first_use():
     assert flagmn.CheckResult is verification.CheckResult
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         flagmn.no_such_name
+
+
+def _aliases(module: types.ModuleType) -> list[tuple[str, str]]:
+    """The pairs (first name, later name) in ``module.__all__`` that name one
+    object."""
+    first: dict[int, str] = {}
+    pairs = []
+    for name in module.__all__:
+        key = id(getattr(module, name))
+        if key in first:
+            pairs.append((first[key], name))
+        else:
+            first[key] = name
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["flagmn"] + [f"flagmn.{p.stem}" for p in MODULES])
+def test_public_names_are_distinct_objects(name):
+    # one public name per thing: an alias hides calls from a tracer that
+    # patches one of the names
+    assert _aliases(importlib.import_module(name)) == []
+
+
+def test_alias_is_caught():
+    module = types.ModuleType("m")
+    module.f = module.g = lambda: None
+    module.h = lambda: None
+    module.__all__ = ["f", "h", "g"]
+    assert _aliases(module) == [("f", "g")]
 
 
 def test_statement_coverage_counts_the_statements_never_run():

@@ -80,12 +80,19 @@ def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
     monkeypatch.setattr(
         verification, "ll_reduce_product", lambda u, lam, k: real(u, lam, k) * 2
     )
-    _, failure = verification._quantum_oracle_worker(case)
-    assert failure.startswith("u=2134 k=1 hook=1,1: hook-theorem != ll-reduce at ")
-    monkeypatch.setattr(verification, "fgp_product", lambda u, lam, k: Expansion(u.n))
+    at = "u=2134 k=1 hook=1,1: hook-theorem"
+    assert verification._quantum_oracle_worker(case) == (1, f"{at} != ll-reduce at 3124")
+    # an oracle that drops the quantum term is named at that term, not the first
+    real_fgp = verification.fgp_product
+
+    def classical_fgp(u, lam, k):
+        terms = real_fgp(u, lam, k).terms
+        return Expansion(u.n, {x: c for x, c in terms.items() if not any(x.alpha)})
+
+    monkeypatch.setattr(verification, "fgp_product", classical_fgp)
     assert verification._quantum_oracle_worker(case) == (
         1,
-        "u=2134 k=1 hook=1,1: hook-theorem != fgp-oracle",
+        f"{at} != fgp-oracle at q^(1,0,0) 1234",
     )
 
 
@@ -193,9 +200,28 @@ def test_interval_worker_names_the_failing_transport(monkeypatch):
     # every element lands on the image of the top: not an isomorphism
     monkeypatch.setattr(verification, "w0_element", lambda z: image)
     assert verification._interval_worker(case) == failed
-    # no map at all: the target interval does not exist
-    monkeypatch.setattr(verification, "w0_element", lambda z: z)
-    assert verification._interval_worker(case) == failed
+
+
+@pytest.mark.parametrize(
+    "name, transport, identity",
+    [
+        ("shift", "o_shift_element", lambda u, z: z),
+        ("w0", "w0_element", lambda z: z),
+        ("complementation", "rho_element", lambda alpha, z: z),
+    ],
+    ids=["shift", "w0", "complementation"],
+)
+def test_identity_transport_fails(monkeypatch, name, transport, identity):
+    # each target's bottom is stated apart from its map, so a map that moves
+    # nothing cannot pass
+    case = verification._random_interval_cases(1, verification._SEED_INTERVALS)[0]
+    u_word, k, alpha, w_word = case
+    top = QElement(alpha, Permutation(w_word))
+    monkeypatch.setattr(verification, transport, identity)
+    assert verification._interval_worker(case) == (
+        1,
+        f"u={Permutation(u_word)} k={k} top={top}: {name} transport fails",
+    )
 
 
 @pytest.mark.parametrize(
