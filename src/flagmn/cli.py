@@ -27,7 +27,7 @@ from typing import Sequence
 from . import verification
 from .kbruhat import interval, poset_chains
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
-from .perm import _check_hook, identity, parse_permutation
+from .perm import identity, parse_permutation
 from .qbruhat import parse_qelement, q_interval
 from .qschubert import (
     fgp_product,
@@ -37,6 +37,7 @@ from .qschubert import (
 )
 from .schubert import (
     Expansion,
+    _on_hook,
     hook_multiply_chains,
     hook_multiply_minimal,
     powersum_multiply,
@@ -95,11 +96,6 @@ def _product_ambient(args, u, kind: str, data) -> int:
     if width < 1:
         raise ValueError(f"--u e reads S_n from a positive --{kind} width, got {width}")
     return args.k + width
-
-
-def _on_hook(route):
-    """A route on shapes (u, lam, k) as a route on hooks (u, a, b, k)."""
-    return lambda u, a, b, k: route(u, _check_hook(a, b, k, u.n), k)
 
 
 _FGP = "the FGP quantization oracle"

@@ -27,7 +27,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .kbruhat import Chain, crossing
-from .perm import Permutation, _Record, _check_k, _check_size, all_permutations
+from .perm import (
+    Permutation,
+    _Record,
+    _check_k,
+    _check_size,
+    all_permutations,
+    flatten,
+)
 from .qbruhat import QElement, q_chains
 
 __all__ = [
@@ -270,11 +277,8 @@ def flatten_word(word: OperatorWord) -> OperatorWord:
     The result acts on S_m where m is the support size; by shape-equivalence
     this loses nothing as far as being zero is concerned.
     """
-    supp = sorted(word.support())
-    relabel = {v: i + 1 for i, v in enumerate(supp)}
-    return OperatorWord(
-        len(supp), tuple((relabel[a], relabel[b]) for a, b in word.letters)
-    )
+    flat = flatten(itertools.chain.from_iterable(word.letters))
+    return OperatorWord(max(flat, default=0), tuple(zip(flat[::2], flat[1::2])))
 
 
 @lru_cache(maxsize=None)
@@ -442,10 +446,6 @@ def _row_shifts(app: Sequence[tuple[int, int]], n: int) -> list[int]:
     ]
 
 
-def _row_shift(app: Sequence[tuple[int, int]], n: int) -> int | None:
-    return next(iter(_row_shifts(app, n)), None)
-
-
 def row_shift(word: OperatorWord) -> int | None:
     """The least cyclic-shift power making the word a classical row, if any.
 
@@ -453,7 +453,7 @@ def row_shift(word: OperatorWord) -> int | None:
     classical letters; chains from different components may interleave, since
     such letters commute.
     """
-    return _row_shift(word.application_order, word.n)
+    return next(iter(_row_shifts(word.application_order, word.n)), None)
 
 
 def column_shift(word: OperatorWord) -> int | None:
@@ -462,7 +462,7 @@ def column_shift(word: OperatorWord) -> int | None:
     A column is a row applied in the reverse order, so its application order
     is the word's composition order.
     """
-    return _row_shift(word.letters, word.n)
+    return next(iter(_row_shifts(word.letters, word.n)), None)
 
 
 def is_row(word: OperatorWord) -> bool:

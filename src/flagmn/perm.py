@@ -409,8 +409,7 @@ def flatten_cycles(zeta: Permutation) -> Permutation:
     supp = sorted(zeta.support())
     if not supp:
         return identity(1)
-    rank = {v: i + 1 for i, v in enumerate(supp)}
-    return Permutation(tuple(rank[zeta(v)] for v in supp))
+    return Permutation(flatten(zeta(v) for v in supp))
 
 
 def het(zeta: Permutation) -> int:

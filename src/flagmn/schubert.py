@@ -376,16 +376,21 @@ def _operator_terms(start: tuple[int, ...], monomials, quantum: bool) -> dict:
     ((e, f), c), one x_m step per letter; some c may be 0.
 
     Monomials that start alike (x_1^2 x_2 and x_1^2 x_3) share the steps of
-    their common prefix through a memo kept for this call only.
+    their common prefix.  They run in the order of their letters, so each
+    prefix is stepped once and only the prefixes of the current monomial are held.
     """
-    memo = {(): {((0,) * (len(start) - 1), start): 1}}
+    runs = sorted(
+        (tuple(m for m, e in enumerate(xe, start=1) for _ in range(e)), qe, c)
+        for (xe, qe), c in monomials
+    )
+    path = [((), {((0,) * (len(start) - 1), start): 1})]  # (prefix, its terms)
     out: dict = {}
-    for (xe, qe), c in monomials:
-        letters = tuple(m for m, e in enumerate(xe, start=1) for _ in range(e))
-        for j, m in enumerate(letters):
-            if letters[: j + 1] not in memo:
-                memo[letters[: j + 1]] = _x_step(memo[letters[:j]], m, quantum)
-        for (alpha, word), d in memo[letters].items():
+    for letters, qe, c in runs:
+        while letters[: len(path[-1][0])] != path[-1][0]:
+            path.pop()
+        for m in letters[len(path[-1][0]) :]:
+            path.append((path[-1][0] + (m,), _x_step(path[-1][1], m, quantum)))
+        for (alpha, word), d in path[-1][1].items():
             key = (_padded_sum(alpha, qe) if qe else alpha, word)
             out[key] = out.get(key, 0) + c * d
     return out
@@ -487,6 +492,11 @@ def hook_multiply_minimal(u: Permutation, a: int, b: int, k: int) -> Expansion:
     """
     _check_hook(a, b, k, u.n)
     return _minimal_rule(u, k, a + b - 1, False, _hook_coefficient(a))
+
+
+def _on_hook(route):
+    """A route on shapes (u, lam, k) as a route on hooks (u, a, b, k)."""
+    return lambda u, a, b, k: route(u, _check_hook(a, b, k, u.n), k)
 
 
 def powersum_multiply(u: Permutation, r: int, k: int) -> Expansion:

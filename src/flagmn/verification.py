@@ -17,7 +17,7 @@ import functools
 import itertools
 import random
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kbruhat import (
     find_witness,
@@ -46,7 +46,6 @@ from .perm import (
     _Record,
     all_permutations,
     cyclic_shift,
-    hook_partition,
     is_hook,
     longest_element,
     parse_permutation,
@@ -75,6 +74,8 @@ from .qschubert import (
 )
 from .schubert import (
     Expansion,
+    _expansion,
+    _on_hook,
     hook_multiply_chains,
     hook_multiply_minimal,
     poly_product,
@@ -151,6 +152,13 @@ def _first_failure(case: str, *tests: tuple[str, bool]) -> str | None:
     return next((f"{case}: {label}" for label, passed in tests if not passed), None)
 
 
+def _disagreement(label: str, got: Expansion, expected: Expansion) -> tuple[str, bool]:
+    """The test ``got == expected``; its label names the first differing term."""
+    if got == expected:
+        return label, True
+    return f"{label} at {(got - expected).items()[0][0]}", False
+
+
 # -- fixtures -------------------------------------------------------------------
 
 
@@ -197,7 +205,7 @@ def check_q_monk():
     failure = _first_failure(
         f"u={u} k={_Q_MONK_K} class=s1",
         ("cover rule != the printed table", terms == expected),
-        ("cover rule != fgp-oracle", fgp_product(u, (1,), _Q_MONK_K) == exp),
+        _disagreement("cover rule != fgp-oracle", exp, fgp_product(u, (1,), _Q_MONK_K)),
         _matches_fixture("q-monk", text),
     )
     return failure, "divisor product: cover rule = quantization oracle"
@@ -287,38 +295,52 @@ def check_q_minimal():
 # -- oracle equivalences ----------------------------------------------------------
 
 
-_CLASSICAL_ORACLE_N = 5
-
-
-def _classical_oracle_worker(word: tuple[int, ...]) -> tuple[int, str | None]:
-    u = Permutation(word)
-    n = u.n
-    checked = 0
-    failure = None
+def _hooks(n: int) -> Iterator[tuple[int, int, int]]:
+    """Every (k, a, b) whose hook (b, 1^(a-1)) fits the k x (n - k) box."""
     for k in range(1, n):
         for a in range(1, k + 1):
             for b in range(1, n - k + 1):
-                chains_exp = hook_multiply_chains(u, a, b, k)
-                minimal_exp = hook_multiply_minimal(u, a, b, k)
-                poly = poly_product(u, hook_partition(a, b), k)
-                trimmed = {
-                    w.extend(n): c for w, c in poly.items() if w.n <= n
-                }
-                checked += 1
-                failure = failure or _first_failure(
-                    f"u={u} k={k} hook={a},{b}",
-                    ("chains != minimal", chains_exp == minimal_exp),
-                    ("chains has a q-term", chains_exp.is_classical()),
-                    ("chains != poly-oracle", chains_exp.classical_terms() == trimmed),
-                )
-    return checked, failure
+                yield k, a, b
+
+
+def _poly_oracle(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
+    """``poly_product`` restricted to S_n, as an Expansion."""
+    n, zero = u.n, (0,) * (u.n - 1)
+    poly = poly_product(u, lam, k)
+    terms = {(zero, w.extend(n).word): c for w, c in poly.items() if w.n <= n}
+    return _expansion(n, terms)
+
+
+def _oracle_worker(case: tuple) -> tuple[int, str | None]:
+    word, k, a, b, quantum = case
+    u = Permutation(word)
+    # quantum -> the hook rule, then the routes that check it, as (name,
+    # route(u, a, b, k)); built per call, so a rebound route name takes effect
+    routes = {
+        False: (
+            ("chains", hook_multiply_chains),
+            ("minimal", hook_multiply_minimal),
+            ("poly-oracle", _on_hook(_poly_oracle)),
+        ),
+        True: (
+            ("hook-theorem", q_hook_multiply),
+            ("fgp-oracle", _on_hook(fgp_product)),
+            ("ll-reduce", _on_hook(ll_reduce_product)),
+        ),
+    }
+    (rule, multiply), *checks = routes[quantum]
+    got = multiply(u, a, b, k)
+    return 1, _first_failure(
+        f"u={u} k={k} hook={a},{b}",
+        *(_disagreement(f"{rule} != {name}", got, r(u, a, b, k)) for name, r in checks),
+    )
 
 
 @_check("classical-oracles")
 def check_classical_oracles():
-    n = _CLASSICAL_ORACLE_N
-    words = (u.word for u in all_permutations(n))
-    checked, failure = _sweep(_classical_oracle_worker, words)
+    n = 5
+    cases = ((u.word, *hook, False) for u in all_permutations(n) for hook in _hooks(n))
+    checked, failure = _sweep(_oracle_worker, cases)
     return failure, (
         f"S_{n}: {checked} hook products, chain rule = minimal-interval rule"
         " = polynomial oracle"
@@ -326,30 +348,11 @@ def check_classical_oracles():
 
 
 _SEED_QUANTUM = 20230814
-
-
-def _quantum_oracle_worker(
-    case: tuple[tuple[int, ...], int, int, int]
-) -> tuple[int, str | None]:
-    word, k, a, b = case
-    u = Permutation(word)
-    lam = hook_partition(a, b)
-    got = q_hook_multiply(u, a, b, k)
-    at = f"u={u} k={k} hook={a},{b}"
-    for name, oracle in (("fgp-oracle", fgp_product), ("ll-reduce", ll_reduce_product)):
-        differ = (got - oracle(u, lam, k)).items()
-        if differ:
-            return 1, f"{at}: hook-theorem != {name} at {differ[0][0]}"
-    return 1, None
+_HOOK_S8 = ((6, 8, 2, 3, 5, 7, 4, 1), 4, 4, 4, True)  # the S_8 CLI probe hook-s8
 
 
 def _quantum_oracle_cases() -> tuple[list, int]:
-    cases = []
-    for u in all_permutations(4):
-        for k in range(1, 4):
-            for a in range(1, k + 1):
-                for b in range(1, 4 - k + 1):
-                    cases.append((u.word, k, a, b))
+    cases = [(u.word, *hook, True) for u in all_permutations(4) for hook in _hooks(4)]
     exhaustive = len(cases)
     rng = random.Random(_SEED_QUANTUM)
     words5 = [p.word for p in all_permutations(5)]
@@ -358,17 +361,18 @@ def _quantum_oracle_cases() -> tuple[list, int]:
         k = rng.randrange(1, 5)
         a = rng.randint(1, k)
         b = rng.randint(1, 5 - k)
-        cases.append((word, k, a, b))
+        cases.append((word, k, a, b, True))
+    cases.append(_HOOK_S8)
     return list(dict.fromkeys(cases)), exhaustive  # 189 of the 200 draws differ
 
 
 @_check("quantum-oracles")
 def check_quantum_oracles():
     cases, exhaustive = _quantum_oracle_cases()
-    _checked, failure = _sweep(_quantum_oracle_worker, cases)
+    _checked, failure = _sweep(_oracle_worker, cases)
     return failure, (
-        f"{exhaustive} exhaustive S_4 + {len(cases) - exhaustive} seeded S_5"
-        " hook products: theorem = quantization = coefficient recursion"
+        f"{exhaustive} exhaustive S_4 + {len(cases) - exhaustive - 1} seeded S_5"
+        " + 1 fixed S_8 hook products: theorem = quantization = coefficient recursion"
     )
 
 
@@ -619,32 +623,39 @@ def _independence_shapes(n: int, k: int, hooks_only: bool):
                 yield lam
 
 
-def _independence_worker(args: tuple[int, tuple[int, ...]]) -> list:
+def _independence_worker(args: tuple[int, tuple[int, ...]]) -> tuple[str, list]:
     n, word = args
     u = Permutation(word)
     hooks_only = n >= 5
     # the hook rule reads each coefficient off zeta alone, so it could never
     # split a class: the S_5 hooks run through ll-reduce instead
-    multiply = ll_reduce_product if hooks_only else fgp_product
+    route, multiply = (
+        ("ll-reduce", ll_reduce_product) if hooks_only else ("fgp-oracle", fgp_product)
+    )
     u_inv = u.inverse()
     rows = []
     for k in range(1, n):
         for lam in _independence_shapes(n, k, hooks_only):
             for z, c in multiply(u, lam, k).items():
                 rows.append((str(z.w * u_inv), lam, c))
-    return rows
+    return f"from {route} at u={u}", rows
 
 
 @_check("quantum-independence")
 def check_quantum_independence():
     args = [(4, u.word) for u in all_permutations(4)]
     args += [(5, u.word) for u in all_permutations(5)]
-    groups: dict[tuple, set[int]] = {}
-    for rows in map(_independence_worker, args):
+    # (zeta, lam) -> {numerical part: the first case that gave it}
+    groups: dict[tuple, dict[int, str]] = {}
+    for case, rows in map(_independence_worker, args):
         for zeta, lam, c in rows:
-            groups.setdefault((zeta, lam), set()).add(c)
-    split = [key for key, vals in groups.items() if len(vals) != 1]
-    failure = f"(zeta, lam) = {split[0]}: numerical parts differ" if split else None
+            groups.setdefault((zeta, lam), {}).setdefault(c, case)
+    split = [(key, vals) for key, vals in groups.items() if len(vals) != 1]
+    failure = None
+    if split:
+        key, vals = split[0]
+        two = ", ".join(f"{c} {case}" for c, case in list(vals.items())[:2])
+        failure = f"(zeta, lam) = {key}: numerical parts differ: {two}"
     return failure, (
         f"{len(groups)} (zeta, shape) classes over S_4 (all shapes) and S_5"
         " (hooks): numerical parts depend only on the class"

@@ -13,7 +13,7 @@ import pytest
 from flagmn.verification import CHECKS, GROUPS, run_checks
 
 # sha256 of `flagmn verify all` stdout
-VERIFY_ALL_SHA256 = "1c31d7eed84d563790002bd0d461ac66fd71d3d8e7a0f11a2fde6b74128d8c4f"
+VERIFY_ALL_SHA256 = "f7036974114be44a6cb8cb26f96f5c748122dc3f1f95d111a5ee2abec3178f48"
 
 
 @pytest.fixture(scope="module")

@@ -387,7 +387,7 @@ def test_failing_check_names_its_first_failure(capsys, monkeypatch):
     fail = out.splitlines()[0]
     assert fail.startswith("FAIL q-monk: ")
     assert fail.endswith(
-        "; first failure: u=1432 k=2 class=s1: cover rule != fgp-oracle"
+        "; first failure: u=1432 k=2 class=s1: cover rule != fgp-oracle at 2431"
     )
 
 

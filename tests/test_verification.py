@@ -61,27 +61,28 @@ def test_import_starts_no_process_machinery():
 
 
 def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
-    assert verification._classical_oracle_worker((2, 1, 3)) == (4, None)
+    cases = [((2, 1, 3), k, a, b, False) for k, a, b in verification._hooks(3)]
+    assert verification._sweep(verification._oracle_worker, cases) == (4, None)
     real = verification.hook_multiply_minimal
 
     def broken(u, a, b, k):
         return Expansion(u.n) if (k, a, b) == (2, 1, 1) else real(u, a, b, k)
 
     monkeypatch.setattr(verification, "hook_multiply_minimal", broken)
-    checked, failure = verification._classical_oracle_worker((2, 1, 3))
+    checked, failure = verification._sweep(verification._oracle_worker, cases)
     assert checked == 4
-    assert failure == "u=213 k=2 hook=1,1: chains != minimal"
+    assert failure == "u=213 k=2 hook=1,1: chains != minimal at 231"
 
 
 def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
-    case = ((2, 1, 3, 4), 1, 1, 1)
-    assert verification._quantum_oracle_worker(case) == (1, None)
+    case = ((2, 1, 3, 4), 1, 1, 1, True)
+    assert verification._oracle_worker(case) == (1, None)
     real = verification.ll_reduce_product
     monkeypatch.setattr(
         verification, "ll_reduce_product", lambda u, lam, k: real(u, lam, k) * 2
     )
     at = "u=2134 k=1 hook=1,1: hook-theorem"
-    assert verification._quantum_oracle_worker(case) == (1, f"{at} != ll-reduce at 3124")
+    assert verification._oracle_worker(case) == (1, f"{at} != ll-reduce at 3124")
     # an oracle that drops the quantum term is named at that term, not the first
     real_fgp = verification.fgp_product
 
@@ -90,9 +91,32 @@ def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
         return Expansion(u.n, {x: c for x, c in terms.items() if not any(x.alpha)})
 
     monkeypatch.setattr(verification, "fgp_product", classical_fgp)
-    assert verification._quantum_oracle_worker(case) == (
+    assert verification._oracle_worker(case) == (
         1,
         f"{at} != fgp-oracle at q^(1,0,0) 1234",
+    )
+
+
+def _without_last_term(exp: Expansion) -> Expansion:
+    return Expansion(exp.n, exp.items()[:-1])
+
+
+def test_quantum_oracles_catch_a_wrong_hook_rule_at_n_8(monkeypatch):
+    # the S_4 and S_5 cases cannot see a rule that goes wrong only from S_8 on
+    real = verification.q_hook_multiply
+
+    def broken(u, a, b, k):
+        exp = real(u, a, b, k)
+        return _without_last_term(exp) if u.n >= 8 else exp
+
+    monkeypatch.setattr(verification, "q_hook_multiply", broken)
+    result = verification.check_quantum_oracles()
+    assert not result.ok
+    u = Permutation((6, 8, 2, 3, 5, 7, 4, 1))
+    dropped = real(u, 4, 4, 4).items()[-1][0]
+    assert result.detail.endswith(
+        "; first failure: u=68235741 k=4 hook=4,4:"
+        f" hook-theorem != fgp-oracle at {dropped}"
     )
 
 
@@ -109,8 +133,11 @@ def test_independence_check_fails_on_one_wrong_s5_ll_reduce_coefficient(monkeypa
     monkeypatch.setattr(verification, "ll_reduce_product", broken)
     result = verification.check_quantum_independence()
     assert not result.ok
+    # u = 12435 is the first S_5 case in this class, and the broken u the first
+    # to give it another value
     assert result.detail.endswith(
-        f"; first failure: (zeta, lam) = ({zeta!r}, {lam}): numerical parts differ"
+        f"; first failure: (zeta, lam) = ({zeta!r}, {lam}): numerical parts differ:"
+        f" {c} from ll-reduce at u=12435, {c + 1} from ll-reduce at u={u}"
     )
 
 
@@ -168,7 +195,7 @@ def test_gate_case_lists_count_distinct_cases():
     paths = list(verification._structural_paths(5))
     assert len(paths) == len(set(paths)) == 3140
     cases, exhaustive = verification._quantum_oracle_cases()
-    assert len(cases) == len(set(cases)) == 240 + 189
+    assert len(cases) == len(set(cases)) == 240 + 189 + 1
     assert exhaustive == 240
 
 
