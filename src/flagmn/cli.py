@@ -10,7 +10,9 @@ checks only what it alone knows:
 - with --u e, a positive width to infer the ambient S_n from;
 - an ambient S_n of at least S_2;
 - an --n no smaller than the S_n of --u (product and operators);
-- a --basis that applies to the product asked for;
+- a --basis that applies to the product asked for, read off
+  ``qschubert.product_routes``, the one table of product routes, which also
+  supplies the route and the --basis help;
 - for operators, --u and --k given together, and neither with --format dot.
 
 Stdout is deterministic - rerunning a command emits identical bytes, and
@@ -29,20 +31,8 @@ from .kbruhat import interval, poset_chains
 from .operators import act, classify, parse_word, word_diagram, word_to_dot
 from .perm import identity, parse_permutation
 from .qbruhat import parse_qelement, q_interval
-from .qschubert import (
-    fgp_product,
-    ll_reduce_product,
-    q_hook_multiply,
-    q_powersum_multiply,
-)
-from .schubert import (
-    Expansion,
-    _on_hook,
-    hook_multiply_chains,
-    hook_multiply_minimal,
-    powersum_multiply,
-    schur_multiply,
-)
+from .qschubert import product_routes
+from .schubert import Expansion
 
 __all__ = ["main"]
 
@@ -98,50 +88,32 @@ def _product_ambient(args, u, kind: str, data) -> int:
     return args.k + width
 
 
-_FGP = "the FGP quantization oracle"
-_LL = "descent exchange on every quantum walk top of rank |lambda|"
-
-# (kind, quantum, --basis) -> (route, what it computes); route(u, *data, k)
-# computes the product.  The first basis of a (kind, quantum) pair is its
-# default, and None marks a pair with one route.
-_PRODUCT_ROUTES = {
-    ("hook", False, "chains"): (hook_multiply_chains, "peakless chains"),
-    ("hook", False, "minimal"): (hook_multiply_minimal, "minimal intervals"),
-    ("hook", True, "hook-theorem"): (q_hook_multiply, "the quantum hook rule"),
-    ("hook", True, "ll-reduce"): (_on_hook(ll_reduce_product), _LL),
-    ("hook", True, "fgp-oracle"): (_on_hook(fgp_product), _FGP),
-    ("powersum", False, None): (powersum_multiply, ""),
-    ("powersum", True, None): (q_powersum_multiply, ""),
-    ("lambda", False, None): (schur_multiply, ""),
-    ("lambda", True, "fgp-oracle"): (fgp_product, _FGP),
-    ("lambda", True, "ll-reduce"): (ll_reduce_product, _LL),
-}
-
-
 def _ring(kind: str, quantum: bool) -> str:
     return f"{'quantum' if quantum else 'classical'} --{kind}"
 
 
 def _product_route(kind: str, quantum: bool, basis: str | None):
-    bases = [b for kd, q, b in _PRODUCT_ROUTES if (kd, q) == (kind, quantum)]
+    routes = product_routes()[kind, quantum]
     if basis is None:
-        basis = bases[0]
-    if basis not in bases:
-        offer = "drop --basis" if bases == [None] else "choose " + ", ".join(bases)
+        basis = next(iter(routes))
+    if basis not in routes:
+        offer = "drop --basis" if None in routes else "choose " + ", ".join(routes)
         raise ValueError(
             f"--basis {basis} does not apply to {_ring(kind, quantum)}; {offer}"
         )
-    return _PRODUCT_ROUTES[kind, quantum, basis][0]
+    return routes[basis][0]
 
 
 def _basis_help() -> str:
-    groups: dict[str, list[str]] = {}
-    for (kind, quantum, basis), (_route, text) in _PRODUCT_ROUTES.items():
-        if basis is not None:
-            entries = groups.setdefault(_ring(kind, quantum), [])
-            entries.append(f"{basis} ({'' if entries else 'default, '}{text})")
-    listed = "; ".join(f"{ring}: {', '.join(e)}" for ring, e in groups.items())
-    return f"{listed}; every other product has one route"
+    rings = []
+    for (kind, quantum), routes in product_routes().items():
+        if None not in routes:
+            entries = [
+                f"{basis} ({'' if i else 'default, '}{text})"
+                for i, (basis, (_route, text)) in enumerate(routes.items())
+            ]
+            rings.append(f"{_ring(kind, quantum)}: {', '.join(entries)}")
+    return "; ".join(rings) + "; every other product has one route"
 
 
 def _extend_u(u, n: int, text: str):
@@ -307,12 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, help="ambient size (inferred by default)")
     p.add_argument("--quantum", action="store_true")
-    p.add_argument("--hook", help="a,b: hook with a rows, arm b")
+    p.add_argument("--hook", help="a,b: hook with a rows, first row b")
     p.add_argument("--powersum", type=int, help="power sum degree")
     p.add_argument("--lambda", dest="shape", help="partition p1,p2,...")
     p.add_argument(
         "--basis",
-        choices=list(dict.fromkeys(b for _k, _q, b in _PRODUCT_ROUTES if b)),
+        choices=list(
+            dict.fromkeys(b for r in product_routes().values() for b in r if b)
+        ),
         help=_basis_help(),
     )
     p.add_argument("--format", choices=["text", "json"], default="text")

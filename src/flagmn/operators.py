@@ -47,7 +47,6 @@ __all__ = [
     "equivalent_words",
     "o_shift_word",
     "rho_word",
-    "word_components",
     "has_crossing_components",
     "is_tree_word",
     "is_forest_word",
@@ -371,15 +370,6 @@ def _components_cross(comps: Sequence[Sequence[tuple[int, int]]]) -> bool:
         crossing(_support(c), _support(d))
         for c, d in itertools.combinations(comps, 2)
     )
-
-
-def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
-    """Connected components of the word's graph, as subwords.
-
-    Letters keep their relative order inside each component; components are
-    sorted by smallest support value and keep the ambient n.
-    """
-    return tuple(OperatorWord(word.n, tuple(c)) for c in _components(word.letters))
 
 
 def has_crossing_components(word: OperatorWord) -> bool:

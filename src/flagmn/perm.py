@@ -10,7 +10,7 @@ Conventions used throughout the package:
 - ``length`` is the number of inversions, the rank function of the weak and
   strong Bruhat orders alike.
 - Partitions are weakly decreasing tuples of positive integers (no trailing
-  zeros); the hook with a rows and arm b is (b, 1, ..., 1).
+  zeros); the hook with a rows and first row b is (b, 1, ..., 1).
 
 Permutations print as a digit string when n <= 9 ("68235741") and
 comma-separated otherwise.
@@ -32,7 +32,6 @@ __all__ = [
     "from_code",
     "parse_permutation",
     "flatten",
-    "flatten_cycles",
     "het",
     "hook_partition",
     "is_hook",
@@ -398,18 +397,6 @@ def flatten(values: Iterable[int]) -> tuple[int, ...]:
     values = tuple(values)
     rank = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
     return tuple(rank[v] for v in values)
-
-
-def flatten_cycles(zeta: Permutation) -> Permutation:
-    """The shape of zeta: restrict to its support and relabel order-preservingly.
-
-    >>> str(flatten_cycles(from_cycles([(2, 3, 5, 7, 4)], 8)))
-    '24153'
-    """
-    supp = sorted(zeta.support())
-    if not supp:
-        return identity(1)
-    return Permutation(flatten(zeta(v) for v in supp))
 
 
 def het(zeta: Permutation) -> int:

@@ -30,6 +30,10 @@ function on one-line words, which multiplies the classical base it lands on
 with the classical x_m operator through a bounded memo shared across calls,
 since many u reduce to the same base.
 
+``product_routes`` is the one table of the product routes, hook, power
+sum and Schur, classical and quantum, with each route's ``--basis`` name.
+The CLI and the release gate look every route up in it.
+
 Cyclic-shift bookkeeping lives here as well: the Laurent monomial
 q^{o(u,w)} = q_{w^{-1}(n), u^{-1}(n)}, kept as a signed exponent tuple,
 measures how exponent vectors move when every value is shifted by the
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from . import schubert
 from .kbruhat import _covers
 from .perm import (
     Permutation,
@@ -66,6 +71,7 @@ from .schubert import (
     _hook_coefficient,
     _minimal_rule,
     _names,
+    _on_hook,
     _operator_terms,
     _padded_sum,
     _powersum_coefficient,
@@ -93,6 +99,7 @@ __all__ = [
     "quantize",
     "quantum_schur",
     "fgp_product",
+    "product_routes",
 ]
 
 
@@ -519,3 +526,39 @@ def fgp_product(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
     """S_u * s^q_lam(x_1..x_k) through iterated x_m-operators (the FGP route)."""
     monomials = quantum_schur(tuple(lam), k, u.n).monomials()
     return _expansion(u.n, _operator_terms(u.word, monomials, True))
+
+
+# -- the product routes ---------------------------------------------------------
+
+_FGP = "the FGP quantization oracle"
+_LL = "descent exchange on every quantum walk top of rank |lambda|"
+
+
+def product_routes() -> dict:
+    """{(kind, quantum): {basis: (route, what it computes)}} for every product.
+
+    ``kind`` is "hook", "powersum" or "lambda", and route(u, *data, k)
+    computes S_u times that class, with data (a, b), (r,) or (lam,).  The
+    first basis of a pair is its default, and None marks a pair with one
+    route.  The CLI's ``--basis`` and the release gate both look routes up
+    here.  Each route is read off its defining module at every call, so a
+    rebound name reaches every caller.
+    """
+    return {
+        ("hook", False): {
+            "chains": (schubert.hook_multiply_chains, "peakless chains"),
+            "minimal": (schubert.hook_multiply_minimal, "minimal intervals"),
+        },
+        ("hook", True): {
+            "hook-theorem": (q_hook_multiply, "the quantum hook rule"),
+            "fgp-oracle": (_on_hook(fgp_product), _FGP),
+            "ll-reduce": (_on_hook(ll_reduce_product), _LL),
+        },
+        ("powersum", False): {None: (schubert.powersum_multiply, "")},
+        ("powersum", True): {None: (q_powersum_multiply, "")},
+        ("lambda", False): {None: (schubert.schur_multiply, "")},
+        ("lambda", True): {
+            "fgp-oracle": (fgp_product, _FGP),
+            "ll-reduce": (ll_reduce_product, _LL),
+        },
+    }

@@ -61,25 +61,15 @@ from .qbruhat import (
 )
 from .qschubert import (
     QLRQuery,
-    fgp_product,
-    ll_reduce_product,
     ll_reduce_step,
     o_shift_element,
-    q_hook_multiply,
+    product_routes,
     q_monk_multiply,
-    q_powersum_multiply,
     quantum_lr,
     rho_element,
     w0_element,
 )
-from .schubert import (
-    Expansion,
-    _expansion,
-    _on_hook,
-    hook_multiply_chains,
-    hook_multiply_minimal,
-    poly_product,
-)
+from .schubert import Expansion, _expansion, _on_hook, poly_product
 
 __all__ = [
     "CheckResult",
@@ -205,7 +195,11 @@ def check_q_monk():
     failure = _first_failure(
         f"u={u} k={_Q_MONK_K} class=s1",
         ("cover rule != the printed table", terms == expected),
-        _disagreement("cover rule != fgp-oracle", exp, fgp_product(u, (1,), _Q_MONK_K)),
+        _disagreement(
+            "cover rule != fgp-oracle",
+            exp,
+            product_routes()["lambda", True]["fgp-oracle"][0](u, (1,), _Q_MONK_K),
+        ),
         _matches_fixture("q-monk", text),
     )
     return failure, "divisor product: cover rule = quantization oracle"
@@ -217,7 +211,9 @@ _MN_K = 5
 
 
 def _mn_example() -> tuple[Expansion, str]:
-    exp = q_powersum_multiply(parse_permutation(_MN_U), _MN_R, _MN_K)
+    exp = product_routes()["powersum", True][None][0](
+        parse_permutation(_MN_U), _MN_R, _MN_K
+    )
     head = f"S_{_MN_U} * p{_MN_R}(x_1..x_{_MN_K}) in qH*Fl_8"
     return exp, head + "\n" + exp.text() + "\n"
 
@@ -314,21 +310,12 @@ def _poly_oracle(u: Permutation, lam: tuple[int, ...], k: int) -> Expansion:
 def _oracle_worker(case: tuple) -> tuple[int, str | None]:
     word, k, a, b, quantum = case
     u = Permutation(word)
-    # quantum -> the hook rule, then the routes that check it, as (name,
-    # route(u, a, b, k)); built per call, so a rebound route name takes effect
-    routes = {
-        False: (
-            ("chains", hook_multiply_chains),
-            ("minimal", hook_multiply_minimal),
-            ("poly-oracle", _on_hook(_poly_oracle)),
-        ),
-        True: (
-            ("hook-theorem", q_hook_multiply),
-            ("fgp-oracle", _on_hook(fgp_product)),
-            ("ll-reduce", _on_hook(ll_reduce_product)),
-        ),
-    }
-    (rule, multiply), *checks = routes[quantum]
+    # the hook rule, then the routes that check it, as (name, route(u, a, b,
+    # k)); looked up per call, so a rebound route name takes effect
+    routes = [(name, r) for name, (r, _) in product_routes()["hook", quantum].items()]
+    if not quantum:
+        routes.append(("poly-oracle", _on_hook(_poly_oracle)))
+    (rule, multiply), *checks = routes
     got = multiply(u, a, b, k)
     return 1, _first_failure(
         f"u={u} k={k} hook={a},{b}",
@@ -629,9 +616,8 @@ def _independence_worker(args: tuple[int, tuple[int, ...]]) -> tuple[str, list]:
     hooks_only = n >= 5
     # the hook rule reads each coefficient off zeta alone, so it could never
     # split a class: the S_5 hooks run through ll-reduce instead
-    route, multiply = (
-        ("ll-reduce", ll_reduce_product) if hooks_only else ("fgp-oracle", fgp_product)
-    )
+    route = "ll-reduce" if hooks_only else "fgp-oracle"
+    multiply = product_routes()["lambda", True][route][0]
     u_inv = u.inverse()
     rows = []
     for k in range(1, n):

@@ -1,9 +1,11 @@
 """Reference helpers that only the lemma tests use.
 
-Index relabelings of words and permutations (delete or insert a strand),
-the w0 relabeling of words, the product of a word's letter transpositions
-and its minimality, the chain/word bijection, the noncrossing factorization
-of a permutation and the divided difference operator.  The package itself
+The connected components of a word and the shape of a permutation (its
+support, flattened), index relabelings of words and permutations (delete
+or insert a strand), the w0 relabeling of words, the product of a word's
+letter transpositions and its minimality, the chain/word bijection, the
+noncrossing factorization of a permutation and the divided difference
+operator.  The package itself
 never needs them, so they live here, next to the tests that check the
 lemmas they state.  The quantum covers by a position scan, x_m as Monk
 at m minus Monk at m - 1, and the descent exchange on Permutation objects
@@ -14,7 +16,7 @@ of the package.
 from __future__ import annotations
 
 from flagmn.kbruhat import Chain, _covers, crossing, up_covers
-from flagmn.operators import OperatorWord, act, chain_word
+from flagmn.operators import OperatorWord, _components, act, chain_word
 from flagmn.perm import Permutation, _swapped, flatten, from_cycles, identity
 from flagmn.qbruhat import QElement, q_chains, q_ij
 from flagmn.qschubert import QLRQuery, varpi
@@ -51,6 +53,23 @@ def iota_word(word: OperatorWord, s: int) -> OperatorWord:
         word.n + 1,
         tuple((iota_index(a, s), iota_index(b, s)) for a, b in word.letters),
     )
+
+
+def word_components(word: OperatorWord) -> tuple[OperatorWord, ...]:
+    """Connected components of the word's graph, as subwords.
+
+    Letters keep their relative order inside each component; components are
+    sorted by smallest support value and keep the ambient n.
+    """
+    return tuple(OperatorWord(word.n, tuple(c)) for c in _components(word.letters))
+
+
+def flatten_cycles(zeta: Permutation) -> Permutation:
+    """The shape of zeta: restrict to its support and relabel order-preservingly."""
+    supp = sorted(zeta.support())
+    if not supp:
+        return identity(1)
+    return Permutation(flatten(zeta(v) for v in supp))
 
 
 def drop_position(u: Permutation, r: int) -> Permutation:

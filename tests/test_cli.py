@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from flagmn import cli, verification
+from flagmn import cli, qschubert, verification
 from flagmn.cli import main
 from flagmn.perm import all_permutations, is_hook, partitions
 from flagmn.schubert import Expansion
@@ -183,6 +183,95 @@ def test_classical_bases_agree(capsys):
     code_b, text_b, _ = run(capsys, *args, "--basis", "minimal")
     assert code_a == code_b == 0
     assert text_a == text_b
+
+
+# -- the product-route table ----------------------------------------------------
+
+
+def _recorded_routes(monkeypatch) -> set:
+    """Make the CLI and the gate record each (kind, quantum, basis) they call."""
+    reached = set()
+
+    def recording(key, route):
+        def call(*args):
+            reached.add(key)
+            return route(*args)
+
+        return call
+
+    def routes():
+        return {
+            pair: {
+                basis: (recording((*pair, basis), route), text)
+                for basis, (route, text) in by_basis.items()
+            }
+            for pair, by_basis in qschubert.product_routes().items()
+        }
+
+    for module in (cli, verification):
+        monkeypatch.setattr(module, "product_routes", routes)
+    return reached
+
+
+def _table_keys() -> set:
+    table = qschubert.product_routes()
+    return {(*pair, basis) for pair, by_basis in table.items() for basis in by_basis}
+
+
+def test_every_basis_and_one_route_product_is_in_the_route_table(capsys):
+    code, out, _ = run(capsys, "product", "--help")
+    choices = re.search(r"--basis \{(.*?)\}", out).group(1).split(",")
+    keys = _table_keys()
+    assert code == 0 and set(choices) == {basis for *_, basis in keys} - {None}
+    one_route = {("powersum", False), ("powersum", True), ("lambda", False)}
+    assert {(*pair, None) for pair in one_route} <= keys
+    assert {(kind, quantum) for kind, quantum, _ in keys} == set(
+        itertools.product(("hook", "powersum", "lambda"), (False, True))
+    )
+
+
+def test_flagmn_product_reaches_every_route(capsys, monkeypatch):
+    reached = _recorded_routes(monkeypatch)
+    data = {"hook": ("--hook", "1,1"), "powersum": ("--powersum", "1"),
+            "lambda": ("--lambda", "1")}
+    for kind, quantum, basis in sorted(_table_keys(), key=str):
+        argv = ["product", "--u", "1432", "--k", "2", *data[kind]]
+        argv += ["--quantum"] if quantum else []
+        argv += ["--basis", basis] if basis else []
+        before = set(reached)
+        assert run(capsys, *argv)[0] == 0, argv
+        assert reached - before == {(kind, quantum, basis)}, argv
+    assert reached == _table_keys()
+
+
+def test_the_gate_looks_its_routes_up_in_the_table(monkeypatch):
+    reached = _recorded_routes(monkeypatch)
+    verification._oracle_worker(((2, 1, 3), 1, 1, 1, False))
+    verification._oracle_worker(((2, 1, 3), 1, 1, 1, True))
+    verification._independence_worker((4, (2, 1, 3, 4)))
+    verification._independence_worker((5, (2, 1, 3, 4, 5)))
+    verification.check_q_monk()
+    verification.check_mn_example()
+    # the classical power sum and Schur product are the CLI's alone
+    cli_only = {("powersum", False, None), ("lambda", False, None)}
+    assert reached == _table_keys() - cli_only
+
+
+def test_a_rebound_route_reaches_the_cli_and_the_gate(capsys, monkeypatch):
+    argv = ("product", "--quantum", "--u", "2134", "--k", "1", "--hook", "1,1",
+            "--basis", "ll-reduce")
+    case = ((2, 1, 3, 4), 1, 1, 1, True)
+    code, out, _ = run(capsys, *argv)
+    assert (code, verification._oracle_worker(case)) == (0, (1, None))
+    first = out.splitlines()[0].split(" ", 1)[1]
+    monkeypatch.setattr(
+        qschubert, "ll_reduce_product", lambda u, lam, k: Expansion(u.n)
+    )
+    assert run(capsys, *argv) == (0, "0\n", "")
+    assert verification._oracle_worker(case) == (
+        1,
+        f"u=2134 k=1 hook=1,1: hook-theorem != ll-reduce at {first}",
+    )
 
 
 def test_product_json_schema(capsys):
@@ -381,7 +470,7 @@ def test_verify_single_check(capsys):
 
 
 def test_failing_check_names_its_first_failure(capsys, monkeypatch):
-    monkeypatch.setattr(verification, "fgp_product", lambda u, lam, k: Expansion(u.n))
+    monkeypatch.setattr(qschubert, "fgp_product", lambda u, lam, k: Expansion(u.n))
     code, out, _ = run(capsys, "verify", "q-monk")
     assert code == 1
     fail = out.splitlines()[0]
@@ -395,7 +484,7 @@ def test_raising_check_is_a_fail_and_the_gate_goes_on(capsys, monkeypatch):
     def broken(u, lam, k):
         raise ValueError("broken route")
 
-    monkeypatch.setattr(verification, "fgp_product", broken)
+    monkeypatch.setattr(qschubert, "fgp_product", broken)
     code, out, err = run(capsys, "verify", "q-monk", "mn-example")
     assert code == 1
     lines = out.splitlines()

@@ -24,7 +24,6 @@ from flagmn.perm import (
     Permutation,
     _swapped,
     all_permutations,
-    flatten_cycles,
     from_cycles,
     identity,
     longest_element,
@@ -33,6 +32,7 @@ from flagmn.perm import (
 from flagmn.qbruhat import QElement, q_ij, q_interval, q_up_covers
 from lemma_helpers import (
     brute_quantum_covers,
+    flatten_cycles,
     monk_difference,
     noncrossing_factorization,
 )

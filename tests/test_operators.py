@@ -32,7 +32,6 @@ from flagmn.operators import (
     relation_table,
     rho_word,
     row_shift,
-    word_components,
     word_diagram,
     word_to_dot,
     yellow_window,
@@ -64,6 +63,7 @@ from lemma_helpers import (
     tau_index,
     tau_word,
     w0_word,
+    word_components,
     word_zeta,
 )
 

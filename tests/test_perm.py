@@ -12,7 +12,6 @@ from flagmn.perm import (
     cyclic_shift,
     fits_rectangle,
     flatten,
-    flatten_cycles,
     from_code,
     from_cycles,
     grassmannian,
@@ -31,6 +30,7 @@ from flagmn.operators import equivalent_words
 from flagmn.qbruhat import q_leq, q_up_covers
 from flagmn.qschubert import o_shift_monomial, quantum_schur
 from flagmn.schubert import Poly, poly_product, schur_poly
+from lemma_helpers import flatten_cycles
 
 ZETA1 = from_cycles([(2, 3, 5, 7, 4)], 8)
 ZETA2 = from_cycles([(1, 7, 4), (3, 6)], 7)

@@ -966,6 +966,32 @@ def test_powersum_equals_alternating_hooks_when_all_hooks_fit():
         assert total == q_powersum_multiply(u, r, k)
 
 
+def _extend_linearly(rule, exp: Expansion, *args) -> Expansion:
+    """rule(w, *args) shifted by q^alpha for each term q^alpha S_w of exp."""
+    return Expansion(
+        exp.n,
+        [
+            (QElement(tuple(map(sum, zip(x.alpha, y.alpha))), y.w), c * d)
+            for x, c in exp.terms.items()
+            for y, d in rule(x.w, *args).terms.items()
+        ],
+    )
+
+
+def test_powersum_rule_commutes_with_x_m_at_s9():
+    # multiplication by a class commutes with each x_m.  q_x_times walks the
+    # covers through position m, which the minimal-interval rule never reads,
+    # so this checks the rule at S_9, where no other test multiplies by it
+    rng = random.Random(9)
+    for _ in range(50):
+        u = Permutation(tuple(rng.sample(range(1, 10), 9)))
+        k, r, m = rng.randrange(1, 9), rng.randint(1, 6), rng.randint(1, 9)
+        one = Expansion.unit(u)
+        left = q_x_times(_extend_linearly(q_powersum_multiply, one, r, k), m)
+        right = _extend_linearly(q_powersum_multiply, q_x_times(one, m), r, k)
+        assert left == right, (str(u), k, r, m)
+
+
 # -- cyclic shift and the symmetry maps -------------------------------------------
 
 

@@ -121,6 +121,42 @@ def test_unused_private_name_is_caught():
     assert _unused_private_names(trees) == ["a._UNUSED", "a._loop", "a._Spare"]
 
 
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's ``from ... import`` statements take, at any depth."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _route_names() -> set[str]:
+    """The functions ``qschubert.product_routes`` serves, by name; a hook
+    adapter counts as the route it wraps."""
+    from flagmn.qschubert import product_routes
+
+    routes = [r for by_basis in product_routes().values() for r, _ in by_basis.values()]
+    return {r.__name__ for r in routes} - {"<lambda>"}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verification.py"])
+def test_cli_and_gate_take_every_route_from_the_table(name):
+    # a route imported by name would miss a rebinding on its defining module
+    assert len(_route_names()) == 8
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _imported_names(tree) & _route_names() == set()
+
+
+def test_imported_route_is_caught():
+    tree = ast.parse(
+        "from .qschubert import product_routes\n"
+        "def f():\n"
+        "    from .schubert import schur_multiply as multiply\n"
+    )
+    assert _imported_names(tree) & _route_names() == {"schur_multiply"}
+
+
 # the value protocol is stated once, in perm._Record; Permutation and QElement,
 # the dict keys of every product, keep their own with a cached hash
 PROTOCOL_OWNERS = {"_Record", "Permutation", "QElement"}

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import flagmn
-from flagmn import operators, verification
+from flagmn import operators, qschubert, schubert, verification
 from flagmn.kbruhat import LabeledPoset
 from flagmn.operators import OperatorWord
 from flagmn.perm import Permutation
@@ -63,12 +63,12 @@ def test_import_starts_no_process_machinery():
 def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
     cases = [((2, 1, 3), k, a, b, False) for k, a, b in verification._hooks(3)]
     assert verification._sweep(verification._oracle_worker, cases) == (4, None)
-    real = verification.hook_multiply_minimal
+    real = schubert.hook_multiply_minimal
 
     def broken(u, a, b, k):
         return Expansion(u.n) if (k, a, b) == (2, 1, 1) else real(u, a, b, k)
 
-    monkeypatch.setattr(verification, "hook_multiply_minimal", broken)
+    monkeypatch.setattr(schubert, "hook_multiply_minimal", broken)
     checked, failure = verification._sweep(verification._oracle_worker, cases)
     assert checked == 4
     assert failure == "u=213 k=2 hook=1,1: chains != minimal at 231"
@@ -77,20 +77,20 @@ def test_classical_oracle_worker_names_the_failing_case(monkeypatch):
 def test_quantum_oracle_worker_names_the_failing_case(monkeypatch):
     case = ((2, 1, 3, 4), 1, 1, 1, True)
     assert verification._oracle_worker(case) == (1, None)
-    real = verification.ll_reduce_product
+    real = qschubert.ll_reduce_product
     monkeypatch.setattr(
-        verification, "ll_reduce_product", lambda u, lam, k: real(u, lam, k) * 2
+        qschubert, "ll_reduce_product", lambda u, lam, k: real(u, lam, k) * 2
     )
     at = "u=2134 k=1 hook=1,1: hook-theorem"
     assert verification._oracle_worker(case) == (1, f"{at} != ll-reduce at 3124")
     # an oracle that drops the quantum term is named at that term, not the first
-    real_fgp = verification.fgp_product
+    real_fgp = qschubert.fgp_product
 
     def classical_fgp(u, lam, k):
         terms = real_fgp(u, lam, k).terms
         return Expansion(u.n, {x: c for x, c in terms.items() if not any(x.alpha)})
 
-    monkeypatch.setattr(verification, "fgp_product", classical_fgp)
+    monkeypatch.setattr(qschubert, "fgp_product", classical_fgp)
     assert verification._oracle_worker(case) == (
         1,
         f"{at} != fgp-oracle at q^(1,0,0) 1234",
@@ -103,13 +103,13 @@ def _without_last_term(exp: Expansion) -> Expansion:
 
 def test_quantum_oracles_catch_a_wrong_hook_rule_at_n_8(monkeypatch):
     # the S_4 and S_5 cases cannot see a rule that goes wrong only from S_8 on
-    real = verification.q_hook_multiply
+    real = qschubert.q_hook_multiply
 
     def broken(u, a, b, k):
         exp = real(u, a, b, k)
         return _without_last_term(exp) if u.n >= 8 else exp
 
-    monkeypatch.setattr(verification, "q_hook_multiply", broken)
+    monkeypatch.setattr(qschubert, "q_hook_multiply", broken)
     result = verification.check_quantum_oracles()
     assert not result.ok
     u = Permutation((6, 8, 2, 3, 5, 7, 4, 1))
@@ -122,7 +122,7 @@ def test_quantum_oracles_catch_a_wrong_hook_rule_at_n_8(monkeypatch):
 
 def test_independence_check_fails_on_one_wrong_s5_ll_reduce_coefficient(monkeypatch):
     u, lam, k = Permutation((2, 4, 1, 5, 3)), (2, 1), 2
-    real = verification.ll_reduce_product
+    real = qschubert.ll_reduce_product
     x, c = real(u, lam, k).items()[0]
     zeta = str(x.w * u.inverse())
 
@@ -130,7 +130,7 @@ def test_independence_check_fails_on_one_wrong_s5_ll_reduce_coefficient(monkeypa
         exp = real(v, shape, j)
         return exp + Expansion(v.n, {x: 1}) if (v, shape, j) == (u, lam, k) else exp
 
-    monkeypatch.setattr(verification, "ll_reduce_product", broken)
+    monkeypatch.setattr(qschubert, "ll_reduce_product", broken)
     result = verification.check_quantum_independence()
     assert not result.ok
     # u = 12435 is the first S_5 case in this class, and the broken u the first
